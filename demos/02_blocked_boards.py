@@ -8,7 +8,9 @@ complement, so the board fills pair by pair and a leftover hole names an
 unblocked assignment directly.
 """
 
-from ssat import PairTable, SsatInstance, address_of, complement, evaluate
+from ssat import (
+    EMPTY, PairTable, SsatInstance, address_of, complement, evaluate, inverse_address,
+)
 
 n = 3
 print(f"Address map for n = {n} (code -> cell, complement -> neighbor):")
@@ -21,8 +23,10 @@ print("\nPair-inserting 000, 001, 010 fills three adjacent cell pairs:")
 table = PairTable(n)
 for k in (0b000, 0b001, 0b010):
     table.insert_pair(k)
-    print(f"  after insert_pair({k:03b}): ct = {table.ct}, cells = "
-          f"{[int(v) for v in table.cells]}")
+    # an occupied cell holds the code whose address it is
+    held = [inverse_address(a, n) if occupied else EMPTY
+            for a, occupied in enumerate(table.cells.tolist())]
+    print(f"  after insert_pair({k:03b}): ct = {table.ct}, cells = {held}")
 
 gap = table.find_gap()
 print(f"\nThe first empty cell belongs to code {gap:03b}.")

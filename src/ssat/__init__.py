@@ -36,7 +36,6 @@ from .model import (
     is_blocking_pair,
     ternary_from_clause,
     ternary_row_code,
-    to_ternary_matrix,
     translate_row,
     untranslate,
 )
@@ -125,7 +124,6 @@ __all__ = [
     "summarize",
     "ternary_from_clause",
     "ternary_row_code",
-    "to_ternary_matrix",
     "translate_row",
     "untranslate",
     "write_csv",

@@ -4,11 +4,12 @@ The address map sends a code k with high bit 0 to cell 2*low(k), and a
 code with high bit 1 to cell 2*(2^{n-1} - low(k)) - 1, where low(k) is k
 with the high bit dropped. The map is a bijection on [0, 2^n - 1] and
 places every code and its bitwise complement in an adjacent pair of cells
-{2j, 2j+1}.
+{2j, 2j+1}: cell 2j belongs to code j, cell 2j+1 to complement(j).
 
-A full table (ct = 2^n) certifies unsatisfiability: every assignment is
-then blocked by some inserted row. The inner solvers build their evidence
-on this structure.
+Since every cell belongs to exactly one code, the table stores only
+whether each cell is occupied, one byte per cell. A full table (ct = 2^n)
+certifies unsatisfiability: every assignment is then blocked by some
+inserted row. The inner solvers build their evidence on this structure.
 """
 
 from __future__ import annotations
@@ -18,24 +19,16 @@ import os
 import numpy as np
 
 from .errors import WidthMismatchError
-from .model import complement
+from .model import MAX_TABLE_WIDTH
 
-# Sentinel for an unoccupied cell; also what dumps write, since every
-# valid code is nonnegative.
+# What dumps write for an unoccupied cell; every valid code is nonnegative.
 EMPTY = -1
-
-# Table-backed algorithms allocate 2^n cells; wider tables are refused.
-MAX_TABLE_WIDTH = 30
-
-
-def _check_code(k: int, n: int) -> None:
-    if not 0 <= k < (1 << n):
-        raise WidthMismatchError(f"code {k} does not fit width {n}")
 
 
 def address_of(k: int, n: int) -> int:
     """Cell index of code k in a width-n table."""
-    _check_code(k, n)
+    if not 0 <= k < (1 << n):
+        raise WidthMismatchError(f"code {k} does not fit width {n}")
     low = k & ((1 << (n - 1)) - 1)
     if k >> (n - 1):
         return 2 * ((1 << (n - 1)) - low) - 1
@@ -46,15 +39,19 @@ def inverse_address(a: int, n: int) -> int:
     """The code whose cell is a; inverse of address_of."""
     if not 0 <= a < (1 << n):
         raise WidthMismatchError(f"address {a} is outside a width-{n} table")
-    half = 1 << (n - 1)
-    if a % 2 == 0:
-        return a // 2
-    return half | (half - (a + 1) // 2)
+    return _code_at(a, n)
+
+
+def _code_at(a, n: int):
+    # cell 2j holds code j and cell 2j+1 its complement; works elementwise
+    # on an int64 array of addresses too
+    return (a >> 1) ^ ((a & 1) * ((1 << n) - 1))
 
 
 class PairTable:
-    """Mutable 2^n-cell table; each cell is EMPTY or holds the one code
-    whose address it is. ct tracks the number of filled cells."""
+    """Mutable 2^n-cell table. cells is a bool array: cell a is occupied
+    exactly when inverse_address(a), the one code whose address it is, has
+    been inserted. ct tracks the number of occupied cells."""
 
     __slots__ = ("n", "cells", "ct")
 
@@ -62,7 +59,7 @@ class PairTable:
         if not 1 <= n <= MAX_TABLE_WIDTH:
             raise ValueError(f"table width must be in [1, {MAX_TABLE_WIDTH}], got {n}")
         self.n = n
-        self.cells = np.full(1 << n, EMPTY, dtype=np.int64)
+        self.cells = np.zeros(1 << n, dtype=np.bool_)
         self.ct = 0
 
     @property
@@ -74,27 +71,24 @@ class PairTable:
         return self.ct == self.size
 
     def insert(self, k: int) -> bool:
-        """Store k at its address. False (and no change) if the cell is
-        already occupied, which can only mean a duplicate row."""
-        _check_code(k, self.n)
+        """Occupy k's cell. False (and no change) if the cell is already
+        occupied, which can only mean a duplicate row."""
         a = address_of(k, self.n)
-        if self.cells[a] != EMPTY:
+        if self.cells[a]:
             return False
-        self.cells[a] = k
+        self.cells[a] = True
         self.ct += 1
         return True
 
     def insert_pair(self, k: int) -> bool:
-        """Store k and its complement, each at its own address (the two
-        cells are adjacent). False if k's cell is occupied; a cell pair is
-        always filled or emptied as a unit, so ct moves in steps of 2."""
-        _check_code(k, self.n)
+        """Occupy the cells of k and its complement (the two cells are
+        adjacent). False if k's cell is occupied; a cell pair is always
+        filled or emptied as a unit, so ct moves in steps of 2."""
         a = address_of(k, self.n)
-        if self.cells[a] != EMPTY:
+        if self.cells[a]:
             return False
-        c = complement(k, self.n)
-        self.cells[a] = k
-        self.cells[address_of(c, self.n)] = c
+        self.cells[a] = True
+        self.cells[a ^ 1] = True  # the other cell of the pair is complement(k)'s
         self.ct += 2
         return True
 
@@ -106,13 +100,16 @@ class PairTable:
         """
         if self.is_full:
             return None
-        a = int(np.argmax(self.cells == EMPTY))
+        a = int(np.argmax(~self.cells))
         return inverse_address(a, self.n)
 
     def dump(self, path: str | os.PathLike) -> None:
-        """Write one "address value" line per cell, -1 for empty."""
+        """Write one "address value" line per cell: the code the cell
+        holds, or -1 (EMPTY) for an unoccupied cell."""
+        codes = _code_at(np.arange(self.size, dtype=np.int64), self.n)
+        values = np.where(self.cells, codes, EMPTY)
         with open(path, "w", encoding="ascii") as fh:
-            for a, v in enumerate(self.cells.tolist()):
+            for a, v in enumerate(values.tolist()):
                 fh.write(f"{a} {v}\n")
 
     def __repr__(self) -> str:

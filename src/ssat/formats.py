@@ -20,6 +20,7 @@ span or share lines). Variable v maps to x_{v-1}. Three ingestion modes:
 from __future__ import annotations
 
 import os
+from itertools import islice
 from typing import Iterator
 
 from .errors import ParseError
@@ -94,7 +95,7 @@ def parse_cnf_file(
         lines = fh.read().splitlines()
 
     tokens = _cnf_tokens(lines)
-    header = [tok for _, tok in _take(tokens, 4)]
+    header = [tok for _, tok in islice(tokens, 4)]
     if len(header) < 4 or header[0] != "p" or header[1] != "cnf":
         raise ParseError("expected 'p cnf n m' header", 1)
     try:
@@ -135,12 +136,3 @@ def parse_cnf_file(
     if mode == "ternary":
         return sat
     return expand_to_ssat(sat, row_cap=row_cap)
-
-
-def _take(it: Iterator, k: int) -> list:
-    out = []
-    for item in it:
-        out.append(item)
-        if len(out) == k:
-            break
-    return out

@@ -42,9 +42,9 @@ ABSENT = 2
 # Default cap on rows produced when expanding a general instance.
 DEFAULT_EXPANSION_CAP = 1 << 20
 
-# Instances up to this many rows cache a frozenset for membership tests;
-# larger ones binary-search a sorted array instead (cheaper to build).
-_SET_MEMBERSHIP_MAX = 1 << 16
+# Widest n for which a 2^n-entry array (the membership bitmap, the pair
+# table) is allocated; 2^30 bytes is 1 GiB.
+MAX_TABLE_WIDTH = 30
 
 TernaryClause = tuple[int, ...]
 
@@ -117,19 +117,28 @@ class SsatInstance:
         return self.rows.size
 
     def has_row(self, code: int) -> bool:
-        """Membership of a code in the row multiset."""
-        members = self._member_set
-        if members is not None:
-            return code in members
+        """Membership of a code in the row multiset; False for any code
+        outside [0, 2^n - 1].
+
+        Up to MAX_TABLE_WIDTH the answer is one byte of a 2^n-entry
+        presence array, built on first use. Wider instances, where no such
+        array fits, binary-search the sorted rows.
+        """
+        n = self.n
+        if code < 0 or code >> n:
+            return False
+        if n <= MAX_TABLE_WIDTH:
+            return self._member_present[code]
         arr = self._member_sorted
         i = int(np.searchsorted(arr, code))
         return i < arr.size and int(arr[i]) == code
 
     @cached_property
-    def _member_set(self) -> frozenset[int] | None:
-        if self.m <= _SET_MEMBERSHIP_MAX:
-            return frozenset(self.rows.tolist())
-        return None
+    def _member_present(self) -> memoryview:
+        present = np.zeros(1 << self.n, dtype=np.bool_)
+        present[self.rows] = True
+        # a memoryview item lookup costs less than numpy scalar indexing
+        return memoryview(present)
 
     @cached_property
     def _member_sorted(self) -> np.ndarray:
@@ -239,11 +248,6 @@ class SatInstance:
     def from_clauses(cls, n: int, clauses: Iterable[Iterable[int]]) -> "SatInstance":
         """Build from clauses of signed 1-based literals."""
         return cls(n, tuple(ternary_from_clause(c, n) for c in clauses))
-
-
-def to_ternary_matrix(sat: SatInstance) -> list[TernaryClause]:
-    """The instance as a matrix of ternary rows, one per clause."""
-    return list(sat.clauses)
 
 
 def expand_to_ssat(sat: SatInstance, row_cap: int = DEFAULT_EXPANSION_CAP) -> SsatInstance:

@@ -2,10 +2,10 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from ssat import (
-    EMPTY,
     PairTable,
     SsatInstance,
     WidthMismatchError,
@@ -14,6 +14,11 @@ from ssat import (
     evaluate,
     inverse_address,
 )
+
+
+def occupied_codes(t):
+    """Codes held by the occupied cells, in address order."""
+    return [inverse_address(a, t.n) for a in np.flatnonzero(t.cells).tolist()]
 
 
 class TestAddressOf:
@@ -87,21 +92,24 @@ class TestInsert:
         rng = random.Random(5)
         for n in (2, 4, 6):
             t = PairTable(n)
+            inserted = set()
             for _ in range(3 << n):
-                t.insert(rng.randrange(1 << n))
-            filled = [(a, int(v)) for a, v in enumerate(t.cells) if v != EMPTY]
-            codes = [v for _, v in filled]
+                k = rng.randrange(1 << n)
+                t.insert(k)
+                inserted.add(k)
+            codes = occupied_codes(t)
             assert len(codes) == len(set(codes)) == t.ct
-            for a, v in filled:
-                assert address_of(v, n) == a
+            assert set(codes) == inserted
+            for a in np.flatnonzero(t.cells).tolist():
+                assert address_of(inverse_address(a, n), n) == a
 
 
 class TestInsertPair:
     def test_fills_adjacent_cells(self):
         t = PairTable(3)
         assert t.insert_pair(0b001) is True
-        assert t.cells[2] == 0b001
-        assert t.cells[3] == 0b110
+        assert np.flatnonzero(t.cells).tolist() == [2, 3]
+        assert [inverse_address(a, 3) for a in (2, 3)] == [0b001, 0b110]
         assert t.ct == 2
 
     def test_complement_lands_in_same_pair(self):
@@ -171,7 +179,7 @@ class TestBlockedBoard:
             for k in range(1 << n):
                 t.insert(k)
             assert t.is_full
-            inst = SsatInstance(n, [int(v) for v in t.cells])
+            inst = SsatInstance(n, occupied_codes(t))
             assert all(evaluate(inst, x) == 0 for x in range(1 << n))
 
 

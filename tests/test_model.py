@@ -19,7 +19,6 @@ from ssat import (
     is_blocking_pair,
     ternary_from_clause,
     ternary_row_code,
-    to_ternary_matrix,
     translate_row,
     untranslate,
 )
@@ -133,7 +132,9 @@ class TestSsatInstance:
             SsatInstance(2, [-1])
 
     def test_membership_large_instance_sorted_path(self):
-        # above the set-cache threshold has_row falls back to binary search
+        # 2^16 + 2 rows at n=17; n is within MAX_TABLE_WIDTH, so despite the
+        # name this reads the presence bitmap (test_membership_both_paths
+        # covers the sorted path)
         n, m = 17, (1 << 16) + 2
         inst = SsatInstance(n, np.arange(m, dtype=np.int64))
         assert inst.has_row(0)
@@ -146,6 +147,22 @@ class TestSsatInstance:
         inst = SsatInstance(n, rows)
         assert inst.has_row(m - 1)
         assert not inst.has_row(m)
+
+    @pytest.mark.parametrize("n", [3, 17, 40, 62])
+    def test_membership_both_paths(self, n):
+        # n <= 30 reads the presence bitmap; wider n binary-searches the
+        # sorted rows. Rows are unsorted and include both end codes.
+        top = (1 << n) - 1
+        rows = [5, top, 0, top - 2, 1, 5]
+        inst = SsatInstance(n, rows)
+        for code in rows:
+            assert inst.has_row(code)
+        for code in (2, 4, top - 1, top - 3):
+            assert not inst.has_row(code)
+        assert evaluate(inst, top) == 0
+        assert evaluate(inst, top ^ 2) == 1
+        assert not inst.has_row(-1)
+        assert not inst.has_row(1 << n)
 
 
 class TestEvaluate:
@@ -233,10 +250,6 @@ class TestTernary:
     def test_duplicate_rejected(self):
         with pytest.raises(DuplicateVariableError):
             ternary_from_clause([1, -1], 3)
-
-    def test_to_ternary_matrix(self):
-        sat = SatInstance.from_clauses(4, [[4, -1], [4, -3, 1]])
-        assert to_ternary_matrix(sat) == [(1, ABSENT, ABSENT, 0), (1, 0, ABSENT, 1)]
 
 
 class TestSatInstance:
