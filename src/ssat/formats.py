@@ -23,6 +23,8 @@ import os
 from itertools import islice
 from typing import Iterator
 
+import numpy as np
+
 from .errors import ParseError
 from .model import (
     DEFAULT_EXPANSION_CAP,
@@ -36,16 +38,28 @@ from .model import (
 
 CNF_MODES = ("strict-ssat", "expand", "ternary")
 
+# Rows per block in the rows-file codec: small enough that a block's
+# temporary arrays stay in cache and bounded whatever m is.
+_BLOCK_ROWS = 1 << 15
+
 
 def parse_rows_file(path: str | os.PathLike) -> SsatInstance:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines:
-        raise ParseError("empty file, expected 'ssat n m' header", 1)
+    """Read a rows file. A strictly laid-out file (every line ends in
+    "\n", every row is exactly n digits) is decoded with numpy, one pass
+    per digit column over blocks of rows; any other file goes through the
+    line loop, which accepts the tolerated layouts and names the line of
+    any error."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    inst = _parse_rows_strict(data)
+    if inst is None:
+        inst = _parse_rows_lines(data.decode("ascii"))
+    return inst
 
-    head = lines[0].split()
+
+def _parse_header(line: str) -> tuple[int, int]:
+    """(n, m) from the header line; the one place headers are checked."""
+    head = line.split()
     if len(head) != 3 or head[0] != "ssat":
         raise ParseError("header must be 'ssat n m'", 1)
     try:
@@ -56,6 +70,56 @@ def parse_rows_file(path: str | os.PathLike) -> SsatInstance:
         raise ParseError(f"variable count must be in [1, {MAX_WIDTH}]", 1)
     if m < 1:
         raise ParseError("row count must be at least 1", 1)
+    return n, m
+
+
+def _parse_rows_strict(data: bytes) -> SsatInstance | None:
+    """The instance of a file laid out exactly as write_rows_file writes
+    it: a valid one-line header, then m lines of n characters over 0/1,
+    each closed by "\n" and nothing after them. None for any other file,
+    which the line loop then accepts or rejects."""
+    end = data.find(b"\n")
+    if end < 0 or not data[:end].isascii():
+        return None
+    text = data[:end].decode("ascii")
+    # str.splitlines also breaks at \r, \v, \f and \x1c-\x1e; a header
+    # holding one of those is a different first line for the line loop
+    if text.splitlines() != [text]:
+        return None
+    try:
+        n, m = _parse_header(text)
+    except ParseError:
+        return None  # the line loop raises it, after the same checks as always
+    if len(data) - (end + 1) != m * (n + 1):
+        return None
+    grid = np.frombuffer(data, dtype=np.uint8, offset=end + 1).reshape(m, n + 1)
+    codes = np.empty(m, dtype=np.int64)
+    # blocks of rows keep each column pass inside the cache
+    for start in range(0, m, _BLOCK_ROWS):
+        block = grid[start:start + _BLOCK_ROWS]
+        digits = block[:, :n]
+        # "0" and "1" are the only bytes b with b | 1 == ord("1")
+        if ((digits | 1) != ord("1")).any() or (block[:, n] != ord("\n")).any():
+            return None
+        # leftmost digit is the highest bit; bit 0 of the byte is the digit
+        out = codes[start:start + _BLOCK_ROWS]
+        out[:] = digits[:, 0] & 1
+        for j in range(1, n):
+            out <<= 1
+            out |= digits[:, j] & 1
+    return SsatInstance(n, codes)
+
+
+def _parse_rows_lines(text: str) -> SsatInstance:
+    """Line-by-line parse of a rows file's text. Tolerates CRLF or other
+    line breaks, blanks around a row and trailing blank lines, and names
+    the line of the first error."""
+    lines = text.splitlines()
+    while lines and not lines[-1].strip():
+        lines.pop()
+    if not lines:
+        raise ParseError("empty file, expected 'ssat n m' header", 1)
+    n, m = _parse_header(lines[0])
     if len(lines) - 1 != m:
         raise ParseError(f"header promises {m} rows, file has {len(lines) - 1}", len(lines))
 
@@ -69,11 +133,20 @@ def parse_rows_file(path: str | os.PathLike) -> SsatInstance:
 
 
 def write_rows_file(path: str | os.PathLike, inst: SsatInstance) -> None:
-    """Inverse of parse_rows_file, bit-exact round trip."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"ssat {inst.n} {inst.m}\n")
-        for r in inst.rows.tolist():
-            fh.write(format(r, f"0{inst.n}b") + "\n")
+    """Inverse of parse_rows_file, bit-exact round trip. Each block of
+    rows becomes a (rows, n + 1) byte grid: one pass per bit column, then
+    a column of "\n"."""
+    n = inst.n
+    with open(path, "wb") as fh:
+        fh.write(f"ssat {n} {inst.m}\n".encode("ascii"))
+        for start in range(0, inst.m, _BLOCK_ROWS):
+            block = inst.rows[start:start + _BLOCK_ROWS]
+            grid = np.empty((block.size, n + 1), dtype=np.uint8)
+            for j in range(n):
+                grid[:, j] = (block >> (n - 1 - j)) & 1
+            grid[:, :n] += ord("0")
+            grid[:, n] = ord("\n")
+            fh.write(grid.tobytes())
 
 
 def _cnf_tokens(lines: list[str]) -> Iterator[tuple[int, str]]:

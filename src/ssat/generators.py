@@ -88,7 +88,9 @@ def duplicate_and_shuffle(inst: SsatInstance, duplicates: int, seed: Seed) -> Ss
     rows = inst.rows.tolist()
     rows += [rows[rng.randrange(len(rows))] for _ in range(duplicates)]
     rng.shuffle(rows)
-    return SsatInstance(inst.n, rows)
+    # the codes are known int64s; an array spares the constructor from
+    # inferring a dtype from a list
+    return SsatInstance(inst.n, np.array(rows, dtype=np.int64))
 
 
 def extreme_instance(spec: ExtremeSpec) -> SsatInstance:

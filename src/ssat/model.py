@@ -102,13 +102,24 @@ class SsatInstance:
     def __post_init__(self):
         if not 1 <= self.n <= MAX_WIDTH:
             raise ValueError(f"variable count must be in [1, {MAX_WIDTH}], got {self.n}")
-        rows = np.array(self.rows, dtype=np.int64, copy=True)
+        rows = np.asarray(self.rows)
         if rows.ndim != 1:
-            raise ValueError("rows must be a flat sequence of codes")
+            raise ValueError("rows must be a flat sequence of integer codes")
         if rows.size == 0:
             raise ValueError("an instance needs at least one row")
+        if rows.dtype.kind not in "iu":
+            # numpy stores Python ints that fit no 64-bit dtype as float or
+            # object; only this rejection path reads the elements
+            if rows.dtype.kind in "fO" and all(
+                isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                for v in np.asarray(self.rows, dtype=object)
+            ):
+                raise WidthMismatchError(f"rows must lie in [0, 2^{self.n} - 1]")
+            raise ValueError(
+                f"rows must be a flat sequence of integer codes, got dtype {rows.dtype}")
         if int(rows.min()) < 0 or int(rows.max()) >> self.n:
             raise WidthMismatchError(f"rows must lie in [0, 2^{self.n} - 1]")
+        rows = rows.astype(np.int64)  # a private copy, whatever the caller holds
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
 
@@ -132,6 +143,14 @@ class SsatInstance:
         arr = self._member_sorted
         i = int(np.searchsorted(arr, code))
         return i < arr.size and int(arr[i]) == code
+
+    def build_index(self) -> None:
+        """Build the membership index has_row reads, if not built yet, so
+        that a timed caller does not pay for it on its first lookup."""
+        if self.n <= MAX_TABLE_WIDTH:
+            self._member_present
+        else:
+            self._member_sorted
 
     @cached_property
     def _member_present(self) -> memoryview:

@@ -4,8 +4,14 @@ import csv
 
 import pytest
 
+import ssat.bench
 from ssat import run_bench, summarize, write_csv
 from ssat.bench import UNDETERMINED
+
+
+def index_built(inst) -> bool:
+    # the lazily built membership index lives in the instance's __dict__
+    return "_member_present" in vars(inst) or "_member_sorted" in vars(inst)
 
 
 class TestRunBench:
@@ -58,6 +64,32 @@ class TestRunBench:
             for r in recs
         ]
         assert strip(a) == strip(b)
+
+    def test_index_built_before_the_clock(self, monkeypatch):
+        # the first evaluating solver of a trial must not pay for the lazy
+        # membership index inside its wall_ns; a solver is called right
+        # after its clock starts, so the index must exist on entry
+        seen = []
+
+        def spy(name):
+            solver = getattr(ssat.bench, name)
+
+            def timed(inst, *args):
+                seen.append((name, index_built(inst)))
+                return solver(inst, *args)
+
+            monkeypatch.setattr(ssat.bench, name, timed)
+
+        for name in ("inner_board_solve", "outer_random_solve",
+                     "inner_witness_solve", "binary_search_solve"):
+            spy(name)
+        run_bench(6, 2, "unique", ["inner-board", "outer-random", "inner-witness"],
+                  duplicates=8, seed_base=5)
+        run_bench(6, 1, "unique", ["binary-search"], seed_base=5)
+        assert [name for name, _ in seen] == [
+            "inner_board_solve", "outer_random_solve", "inner_witness_solve"] * 2 + [
+            "binary_search_solve"]
+        assert all(built for name, built in seen if name != "inner_board_solve")
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

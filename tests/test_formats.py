@@ -1,6 +1,7 @@
 """File formats: rows files and the CNF subset."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,9 @@ from ssat import (
     write_rows_file,
 )
 from ssat.errors import BlowupLimitError
+from ssat.formats import _parse_rows_lines, _parse_rows_strict
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def write(tmp_path, name, text):
@@ -78,6 +82,104 @@ class TestRowsFormat:
             path = tmp_path / f"r{i}.rows"
             write_rows_file(path, inst)
             assert parse_rows_file(path) == inst
+
+
+def rows_text(n, rows, end="\n"):
+    """A rows file's text, every line closed by `end`."""
+    return "".join(line + end for line in [f"ssat {n} {len(rows)}"]
+                   + [format(r, f"0{n}b") for r in rows])
+
+
+class TestRowsCodec:
+    """The strict numpy path against the line loop it stands in for."""
+
+    BIG_N, BIG_M = 16, 1 << 16
+
+    @pytest.fixture(scope="class")
+    def big_rows(self):
+        rng = random.Random(7)
+        return [rng.randrange(1 << self.BIG_N) for _ in range(self.BIG_M)]
+
+    @pytest.mark.parametrize("n", [1, 2, 16, 62])
+    def test_strict_path_matches_line_loop(self, tmp_path, n):
+        rng = random.Random(n)
+        for i in range(10):
+            rows = [rng.getrandbits(n) for _ in range(rng.randint(1, 300))]
+            rows[rng.randrange(len(rows))] = (1 << n) - 1
+            text = rows_text(n, rows)
+            fast = _parse_rows_strict(text.encode("ascii"))
+            assert fast is not None
+            assert fast == _parse_rows_lines(text)
+            assert fast.rows.tolist() == rows
+            path = write(tmp_path, f"d{i}.rows", text)
+            assert parse_rows_file(path) == fast
+
+    @pytest.mark.parametrize("row", [1, 12345, 1 << 16])
+    @pytest.mark.parametrize("col", [0, 15])
+    def test_bad_digit_names_its_line(self, tmp_path, big_rows, row, col):
+        lines = rows_text(self.BIG_N, big_rows).splitlines(keepends=True)
+        bad = lines[row]  # row k (1-based) sits on line k + 1
+        lines[row] = bad[:col] + "2" + bad[col + 1:]
+        path = write(tmp_path, "bad.rows", "".join(lines))
+        with pytest.raises(ParseError) as err:
+            parse_rows_file(path)
+        assert err.value.line == row + 1
+        assert "expected 16 characters over 0/1" in str(err.value)
+
+    def test_newline_turned_digit_is_not_strict(self, tmp_path, big_rows):
+        # same byte count as a strict file, but rows 5 and 6 share a line
+        lines = rows_text(self.BIG_N, big_rows).splitlines(keepends=True)
+        lines[5] = lines[5][:-1] + "1"
+        data = "".join(lines).encode("ascii")
+        assert _parse_rows_strict(data) is None
+        path = tmp_path / "merged.rows"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match=f"file has {self.BIG_M - 1}"):
+            parse_rows_file(path)
+
+    @pytest.mark.parametrize("variant", ["crlf", "trailing-space", "trailing-blank-line",
+                                         "no-final-newline"])
+    def test_tolerated_layouts_of_a_large_file(self, tmp_path, big_rows, variant):
+        text = {
+            "crlf": rows_text(self.BIG_N, big_rows, end="\r\n"),
+            "trailing-space": rows_text(self.BIG_N, big_rows, end=" \n"),
+            "trailing-blank-line": rows_text(self.BIG_N, big_rows) + "\n",
+            "no-final-newline": rows_text(self.BIG_N, big_rows)[:-1],
+        }[variant]
+        data = text.encode("ascii")
+        assert _parse_rows_strict(data) is None  # the line loop reads these
+        path = tmp_path / "v.rows"
+        path.write_bytes(data)
+        assert parse_rows_file(path).rows.tolist() == big_rows
+
+    def test_header_with_inner_line_break_is_not_strict(self, tmp_path):
+        # "\r" splits "ssat 2\r2" into two lines for the line loop
+        path = tmp_path / "cr.rows"
+        path.write_bytes(b"ssat 2\r2\n01\n11\n")
+        assert _parse_rows_strict(path.read_bytes()) is None
+        with pytest.raises(ParseError) as err:
+            parse_rows_file(path)
+        assert err.value.line == 1
+
+    @pytest.mark.parametrize("data", [b"ssat 2 2\n01\n1\xe9\n", b"ssat\xa0 2 1\n01\n",
+                                      b"sat 2 1\n\xff1\n"])
+    def test_non_ascii_byte_raises_unicode_decode_error(self, tmp_path, data):
+        path = tmp_path / "u.rows"
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError):
+            parse_rows_file(path)
+
+    @pytest.mark.parametrize("fixture", sorted(FIXTURES.glob("*.rows")), ids=lambda p: p.name)
+    def test_write_reproduces_fixture_bytes(self, tmp_path, fixture):
+        path = tmp_path / fixture.name
+        write_rows_file(path, parse_rows_file(fixture))
+        assert path.read_bytes() == fixture.read_bytes()
+
+    def test_write_crosses_block_boundaries(self, tmp_path, big_rows):
+        rows = big_rows + big_rows[:3]  # 2^16 + 3 rows: whole blocks and a tail
+        path = tmp_path / "w.rows"
+        write_rows_file(path, SsatInstance(self.BIG_N, rows))
+        assert path.read_text(encoding="ascii") == rows_text(self.BIG_N, rows)
 
 
 class TestCnfFormat:

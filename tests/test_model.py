@@ -131,6 +131,36 @@ class TestSsatInstance:
         with pytest.raises(WidthMismatchError):
             SsatInstance(2, [-1])
 
+    @pytest.mark.parametrize("rows", [[1.5], ["3"], [None], [True], np.array([1.0])])
+    def test_rejects_non_integer_rows(self, rows):
+        # typed rejection, never a silent cast to some code
+        with pytest.raises(ValueError, match="integer codes"):
+            SsatInstance(3, rows)
+
+    @pytest.mark.parametrize("rows", [[2**70], [1, 2**70], [-1, 2**63],
+                                      np.array([2**63], dtype=np.uint64)])
+    def test_rejects_rows_beyond_int64(self, rows):
+        with pytest.raises(WidthMismatchError):
+            SsatInstance(3, rows)
+
+    def test_accepts_any_integer_dtype(self):
+        for dtype in (np.int8, np.uint16, np.int32, np.uint64):
+            inst = SsatInstance(3, np.array([7, 0, 5], dtype=dtype))
+            assert inst.rows.dtype == np.int64
+            assert inst.rows.tolist() == [7, 0, 5]
+
+    def test_rows_are_a_private_copy(self):
+        rows = np.array([1, 2], dtype=np.int64)
+        inst = SsatInstance(2, rows)
+        rows[0] = 3
+        assert inst.rows.tolist() == [1, 2]
+
+    def test_build_index_answers_like_lazy_lookup(self):
+        for n in (3, 40):
+            inst = SsatInstance(n, [5, 0, 5])
+            inst.build_index()
+            assert inst.has_row(5) and inst.has_row(0) and not inst.has_row(1)
+
     def test_membership_large_instance_sorted_path(self):
         # 2^16 + 2 rows at n=17; n is within MAX_TABLE_WIDTH, so despite the
         # name this reads the presence bitmap (test_membership_both_paths
