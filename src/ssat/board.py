@@ -19,10 +19,13 @@ import os
 import numpy as np
 
 from .errors import WidthMismatchError
-from .model import MAX_TABLE_WIDTH
+from .model import BLOCK_ROWS, MAX_TABLE_WIDTH
 
 # What dumps write for an unoccupied cell; every valid code is nonnegative.
 EMPTY = -1
+
+# Bits that hold a position within a block in PairTable.fill's sort keys.
+_POSITION_BITS = (BLOCK_ROWS - 1).bit_length()
 
 
 def address_of(k: int, n: int) -> int:
@@ -46,6 +49,29 @@ def _code_at(a, n: int):
     # cell 2j holds code j and cell 2j+1 its complement; works elementwise
     # on an int64 array of addresses too
     return (a >> 1) ^ ((a & 1) * ((1 << n) - 1))
+
+
+def _address_at(k: np.ndarray, n: int) -> np.ndarray:
+    # address_of elementwise on an int64 array of valid codes, as the
+    # inverse of _code_at: a code with high bit h goes to cell
+    # 2 * (k, or its complement when h = 1) + h
+    h = k >> (n - 1)
+    return ((k ^ (h * ((1 << n) - 1))) << 1) | h
+
+
+def _put_decimal(out: np.ndarray, x: np.ndarray) -> None:
+    # nonnegative int32 x in ASCII decimal, right-aligned in the columns
+    # of the uint8 grid out; columns left of a number's first digit get 0.
+    # Floor division by a constant is far cheaper than % in numpy.
+    last = out.shape[1] - 1
+    rest = x
+    for j in range(last, -1, -1):
+        q = rest // 10
+        digit = rest - 10 * q + ord("0")
+        if j < last:
+            digit *= rest > 0
+        out[:, j] = digit
+        rest = q
 
 
 class PairTable:
@@ -92,6 +118,49 @@ class PairTable:
         self.ct += 2
         return True
 
+    def fill(self, codes) -> int:
+        """Insert codes in order, exactly as repeated insert calls would,
+        and stop right after the code that occupies the last empty cell.
+        Returns how many codes were consumed: all of them unless the table
+        filled first, and 0 if it was already full.
+
+        Codes go through in blocks of BLOCK_ROWS, so temporaries stay
+        bounded whatever len(codes) is, and a block step touches only the
+        cells its own codes name. A code that does not fit the width raises
+        WidthMismatchError after the codes before it are in, like insert.
+        """
+        codes = np.asarray(codes, dtype=np.int64)
+        n, cells = self.n, self.cells
+        consumed = 0
+        for start in range(0, codes.size, BLOCK_ROWS):
+            if self.is_full:
+                break
+            block = codes[start:start + BLOCK_ROWS]
+            bad = np.flatnonzero(block >> n)  # negative or 2^n and above
+            if bad.size:
+                block = block[:bad[0]]
+            addr = _address_at(block, n)
+            fresh = np.flatnonzero(~cells[addr])  # block positions of empty cells
+            # one sort of (cell, position) keys gives each empty cell hit
+            # together with its first position in the block; np.unique and
+            # a stable argsort are several times slower at this size
+            keys = np.sort((addr[fresh] << _POSITION_BITS) | fresh)
+            hit = keys >> _POSITION_BITS
+            first = np.diff(hit, prepend=-1) != 0
+            new = hit[first]
+            if self.ct + new.size == self.size:
+                # the table fills at the first occurrence of the last of
+                # these cells to show up in the block
+                stop = int((keys[first] & (BLOCK_ROWS - 1)).max()) + 1
+                block = block[:stop]
+            cells[new] = True
+            self.ct += new.size
+            consumed += block.size
+            if bad.size and not self.is_full:
+                k = int(codes[start + bad[0]])
+                raise WidthMismatchError(f"code {k} does not fit width {n}")
+        return consumed
+
     def find_gap(self) -> int | None:
         """Code owning the lowest-address empty cell, or None when full.
 
@@ -105,12 +174,30 @@ class PairTable:
 
     def dump(self, path: str | os.PathLike) -> None:
         """Write one "address value" line per cell: the code the cell
-        holds, or -1 (EMPTY) for an unoccupied cell."""
-        codes = _code_at(np.arange(self.size, dtype=np.int64), self.n)
-        values = np.where(self.cells, codes, EMPTY)
-        with open(path, "w", encoding="ascii") as fh:
-            for a, v in enumerate(values.tolist()):
-                fh.write(f"{a} {v}\n")
+        holds, or -1 (EMPTY) for an unoccupied cell.
+
+        Each block of BLOCK_ROWS cells becomes a uint8 grid, one row per
+        line and one column per byte: address digits, a space, value
+        digits, "\n". The zero bytes left of each number's first digit
+        are deleted as the block is written.
+        """
+        n, size = self.n, self.size
+        wa = len(str(size - 1))
+        wv = max(wa, 2)  # room for "-1" even at n = 1
+        with open(path, "wb") as fh:
+            for start in range(0, size, BLOCK_ROWS):
+                # codes and addresses are below 2^30, and int32 is faster
+                addr = np.arange(start, min(start + BLOCK_ROWS, size), dtype=np.int32)
+                empty = ~self.cells[start:start + BLOCK_ROWS]
+                grid = np.empty((addr.size, wa + wv + 2), dtype=np.uint8)
+                _put_decimal(grid[:, :wa], addr)
+                grid[:, wa] = ord(" ")
+                # an empty cell's value, EMPTY = -1, is written as 1 with a
+                # "-" in the column before it
+                _put_decimal(grid[:, wa + 1:-1], np.where(empty, 1, _code_at(addr, n)))
+                grid[:, -3] = np.where(empty, ord("-"), grid[:, -3])
+                grid[:, -1] = ord("\n")
+                fh.write(grid.tobytes().translate(None, b"\0"))
 
     def __repr__(self) -> str:
         return f"PairTable(n={self.n}, ct={self.ct}/{self.size})"

@@ -4,17 +4,23 @@ Rows format (native): a header line "ssat n m", then m lines of exactly
 n characters over {0,1}, leftmost character = x_{n-1}. One line per row,
 duplicates and arbitrary order allowed.
 
-CNF format: the usual DIMACS subset. Lines starting with "c" are
-comments, the header is "p cnf n m", and each clause is a whitespace
-separated run of signed 1-based variable numbers closed by 0 (clauses may
-span or share lines). Variable v maps to x_{v-1}. Three ingestion modes:
+CNF format: the usual DIMACS subset. Lines starting with "c" (after any
+indent) are comments, the header is "p cnf n m", and each clause is a
+whitespace separated run of signed 1-based variable numbers closed by 0
+(clauses may span or share lines). A line holding only "%" ends the
+clauses, as in SATLIB files. Variable v maps to x_{v-1}. Three ingestion
+modes:
 
 * strict-ssat: every clause must mention every variable exactly once;
-  parses straight to fixed-width rows.
+  parses straight to fixed-width rows. A repeated literal or a clause
+  holding both v and -v is a ParseError naming the clause's line.
 * expand: clauses may skip variables; each one is rewritten into the
   equivalent set of fixed-width rows (2^k rows for k skipped variables).
 * ternary: no rewriting; returns the general instance as ternary digit
   vectors (2 = variable absent).
+
+expand and ternary drop repeated literals and whole tautological clauses,
+neither of which changes the satisfying set.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ import numpy as np
 
 from .errors import ParseError
 from .model import (
+    BLOCK_ROWS,
     DEFAULT_EXPANSION_CAP,
     MAX_WIDTH,
     SatInstance,
@@ -37,10 +44,6 @@ from .model import (
 )
 
 CNF_MODES = ("strict-ssat", "expand", "ternary")
-
-# Rows per block in the rows-file codec: small enough that a block's
-# temporary arrays stay in cache and bounded whatever m is.
-_BLOCK_ROWS = 1 << 15
 
 
 def parse_rows_file(path: str | os.PathLike) -> SsatInstance:
@@ -95,14 +98,14 @@ def _parse_rows_strict(data: bytes) -> SsatInstance | None:
     grid = np.frombuffer(data, dtype=np.uint8, offset=end + 1).reshape(m, n + 1)
     codes = np.empty(m, dtype=np.int64)
     # blocks of rows keep each column pass inside the cache
-    for start in range(0, m, _BLOCK_ROWS):
-        block = grid[start:start + _BLOCK_ROWS]
+    for start in range(0, m, BLOCK_ROWS):
+        block = grid[start:start + BLOCK_ROWS]
         digits = block[:, :n]
         # "0" and "1" are the only bytes b with b | 1 == ord("1")
         if ((digits | 1) != ord("1")).any() or (block[:, n] != ord("\n")).any():
             return None
         # leftmost digit is the highest bit; bit 0 of the byte is the digit
-        out = codes[start:start + _BLOCK_ROWS]
+        out = codes[start:start + BLOCK_ROWS]
         out[:] = digits[:, 0] & 1
         for j in range(1, n):
             out <<= 1
@@ -129,7 +132,7 @@ def _parse_rows_lines(text: str) -> SsatInstance:
         if len(digits) != n or digits.strip("01"):
             raise ParseError(f"expected {n} characters over 0/1, got {line!r}", lineno)
         rows.append(int(digits, 2))
-    return SsatInstance(n, rows)
+    return SsatInstance(n, np.array(rows, dtype=np.int64))
 
 
 def write_rows_file(path: str | os.PathLike, inst: SsatInstance) -> None:
@@ -139,8 +142,8 @@ def write_rows_file(path: str | os.PathLike, inst: SsatInstance) -> None:
     n = inst.n
     with open(path, "wb") as fh:
         fh.write(f"ssat {n} {inst.m}\n".encode("ascii"))
-        for start in range(0, inst.m, _BLOCK_ROWS):
-            block = inst.rows[start:start + _BLOCK_ROWS]
+        for start in range(0, inst.m, BLOCK_ROWS):
+            block = inst.rows[start:start + BLOCK_ROWS]
             grid = np.empty((block.size, n + 1), dtype=np.uint8)
             for j in range(n):
                 grid[:, j] = (block >> (n - 1 - j)) & 1
@@ -151,10 +154,30 @@ def write_rows_file(path: str | os.PathLike, inst: SsatInstance) -> None:
 
 def _cnf_tokens(lines: list[str]) -> Iterator[tuple[int, str]]:
     for lineno, line in enumerate(lines, start=1):
-        if line.startswith("c"):
+        text = line.strip()
+        if text == "%":  # SATLIB's end marker; the "0" after it is no clause
+            return
+        if text.startswith("c"):
             continue
-        for tok in line.split():
+        for tok in text.split():
             yield lineno, tok
+
+
+def _clean_clause(lits: list[int], strict: bool, line: int) -> list[int] | None:
+    """The clause with repeated literals dropped, or None for a tautology
+    (it holds some v and -v). Neither changes the satisfying set, but
+    strict-ssat mode needs every variable exactly once and rejects both."""
+    unique = list(dict.fromkeys(lits))
+    if strict and len(unique) < len(lits):
+        repeated = next(lit for i, lit in enumerate(lits) if lit in lits[:i])
+        raise ParseError(f"literal {repeated} repeats in the clause", line)
+    seen = set(unique)
+    negated = next((lit for lit in unique if -lit in seen), None)
+    if negated is None:
+        return unique
+    if strict:
+        raise ParseError(f"clause holds both {abs(negated)} and {-abs(negated)}", line)
+    return None
 
 
 def parse_cnf_file(
@@ -180,9 +203,11 @@ def parse_cnf_file(
     if m < 1:
         raise ParseError("clause count must be at least 1", 1)
 
-    clauses: list[list[int]] = []
+    strict = mode == "strict-ssat"
+    clauses: list[list[int]] = []  # tautologies left out
+    read = 0
     current: list[int] = []
-    last_line = 1
+    first_line = last_line = 1
     for lineno, tok in tokens:
         last_line = lineno
         try:
@@ -192,19 +217,26 @@ def parse_cnf_file(
         if lit == 0:
             if not current:
                 raise ParseError("empty clause (bare 0)", lineno)
-            clauses.append(current)
+            read += 1
+            clause = _clean_clause(current, strict, first_line)
+            if clause is not None:
+                clauses.append(clause)
             current = []
             continue
         if not 1 <= abs(lit) <= n:
             raise ParseError(f"literal {lit} names no variable in 1..{n}", lineno)
+        if not current:
+            first_line = lineno
         current.append(lit)
     if current:
         raise ParseError("last clause is not closed by 0", last_line)
-    if len(clauses) != m:
-        raise ParseError(f"header promises {m} clauses, file has {len(clauses)}", last_line)
+    if read != m:
+        raise ParseError(f"header promises {m} clauses, file has {read}", last_line)
+    if not clauses:
+        raise ParseError("every clause is a tautology; no constraint is left", last_line)
 
-    if mode == "strict-ssat":
-        return SsatInstance(n, [translate_row(c, n) for c in clauses])
+    if strict:
+        return SsatInstance(n, np.array([translate_row(c, n) for c in clauses], dtype=np.int64))
     sat = SatInstance(n, tuple(ternary_from_clause(c, n) for c in clauses))
     if mode == "ternary":
         return sat

@@ -46,6 +46,11 @@ DEFAULT_EXPANSION_CAP = 1 << 20
 # table) is allocated; 2^30 bytes is 1 GiB.
 MAX_TABLE_WIDTH = 30
 
+# Rows per block wherever numpy walks rows or cells in blocks (the rows-file
+# codec, PairTable.fill and dump): small enough that a block's temporaries
+# stay in cache and bounded whatever m or 2^n is.
+BLOCK_ROWS = 1 << 15
+
 TernaryClause = tuple[int, ...]
 
 
@@ -289,4 +294,4 @@ def expand_to_ssat(sat: SatInstance, row_cap: int = DEFAULT_EXPANSION_CAP) -> Ss
             for t, j in enumerate(absent):
                 digits[j] = (pattern >> (len(absent) - 1 - t)) & 1
             rows.append(ternary_row_code(digits))
-    return SsatInstance(sat.n, rows)
+    return SsatInstance(sat.n, np.array(rows, dtype=np.int64))

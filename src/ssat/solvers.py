@@ -99,17 +99,17 @@ def inner_board_solve(
     table, and answer UNSAT the moment all 2^n cells fill. Rows that run
     out first cannot cover the space, so some assignment is free.
 
-    Never evaluates the instance; reports SAT_EXISTS without a witness.
+    The rows go through the table in numpy blocks (PairTable.fill);
+    iterations counts the rows consumed, up to and including the one that
+    fills the table. Never evaluates the instance; reports SAT_EXISTS
+    without a witness.
     """
     table = PairTable(inst.n)
-    iterations = 0
-    verdict, evidence = SAT_EXISTS, "uncovered-code"
-    for k in inst.rows.tolist():
-        iterations += 1
-        table.insert(k)
-        if table.is_full:
-            verdict, evidence = UNSAT, "blocked-board"
-            break
+    iterations = table.fill(inst.rows)
+    if table.is_full:
+        verdict, evidence = UNSAT, "blocked-board"
+    else:
+        verdict, evidence = SAT_EXISTS, "uncovered-code"
     if dump_board is not None:
         table.dump(dump_board)
     return SolverReport(

@@ -18,7 +18,7 @@ from ssat import (
     write_rows_file,
 )
 from ssat.errors import BlowupLimitError
-from ssat.formats import _parse_rows_lines, _parse_rows_strict
+from ssat.formats import CNF_MODES, _parse_rows_lines, _parse_rows_strict
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -251,3 +251,49 @@ class TestCnfFormat:
         path = write(tmp_path, "n.cnf", "p cnf 15 1\n1 0\n")
         with pytest.raises(BlowupLimitError):
             parse_cnf_file(path, mode="expand", row_cap=100)
+
+    def test_indented_comment_lines(self, tmp_path):
+        text = "  c indented\np cnf 2 2\n\tc tab-indented\n-2 1 0\n   c between\n2 1 0\n"
+        inst = parse_cnf_file(write(tmp_path, "o.cnf", text), mode="strict-ssat")
+        assert inst.rows.tolist() == [0b01, 0b11]
+
+    @pytest.mark.parametrize("mode", CNF_MODES)
+    def test_satlib_trailer_ends_the_clauses(self, tmp_path, mode):
+        text = "c SATLIB layout\np cnf 2 2\n -2 1 0\n 2 1 0\n%\n0\n\n"
+        got = parse_cnf_file(write(tmp_path, "p.cnf", text), mode=mode)
+        plain = parse_cnf_file(write(tmp_path, "q.cnf", self.GOOD), mode=mode)
+        assert got == plain
+
+    def test_trailer_does_not_hide_missing_clauses(self, tmp_path):
+        with pytest.raises(ParseError, match="promises 3 clauses, file has 2"):
+            parse_cnf_file(write(tmp_path, "r.cnf", "p cnf 2 3\n-2 1 0\n2 1 0\n%\n0\n"))
+
+    def test_expand_dedupes_repeated_literals(self, tmp_path):
+        path = write(tmp_path, "s.cnf", "p cnf 2 2\n1 1 2 0\n-1 -1 0\n")
+        inst = parse_cnf_file(path, mode="expand")
+        assert inst.rows.tolist() == [0b11, 0b00, 0b10]
+        sat = parse_cnf_file(path, mode="ternary")
+        assert sat.clauses == ((1, 1), (ABSENT, 0))
+
+    @pytest.mark.parametrize("mode", ["expand", "ternary"])
+    def test_tautologies_are_dropped(self, tmp_path, mode):
+        path = write(tmp_path, "t.cnf", "p cnf 3 3\n1 -1 2 0\n3 2 0\n-2 2 2 0\n")
+        want = parse_cnf_file(write(tmp_path, "u.cnf", "p cnf 3 1\n3 2 0\n"), mode=mode)
+        assert parse_cnf_file(path, mode=mode) == want
+
+    @pytest.mark.parametrize("mode", ["expand", "ternary"])
+    def test_only_tautologies_is_a_parse_error(self, tmp_path, mode):
+        path = write(tmp_path, "v.cnf", "p cnf 2 2\n1 -1 0\n2 -2 1 0\n")
+        with pytest.raises(ParseError, match="tautology"):
+            parse_cnf_file(path, mode=mode)
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("p cnf 2 2\n-2 1 0\n2 1 2 0\n", 3, "literal 2 repeats"),
+        ("p cnf 2 2\n-2 1 0\n2 -2 1 0\n", 3, "holds both 2 and -2"),
+        ("p cnf 2 2\n-2 1 0\nc split clause\n1\n-1 2 0\n", 4, "holds both 1 and -1"),
+        ("p cnf 2 1\n1 -2 1 0\n", 2, "literal 1 repeats"),
+    ])
+    def test_strict_mode_names_the_clause_line(self, tmp_path, text, line, message):
+        with pytest.raises(ParseError, match=message) as err:
+            parse_cnf_file(write(tmp_path, "w.cnf", text), mode="strict-ssat")
+        assert err.value.line == line
