@@ -197,6 +197,35 @@ def evaluate(inst: SsatInstance, x: int) -> int:
     return 0 if inst.has_row(complement(x, inst.n)) else 1
 
 
+def evaluate_many(inst: SsatInstance, xs) -> np.ndarray:
+    """evaluate over a batch: a uint8 array holding evaluate(inst, x) for
+    each x of xs, in order.
+
+    Reads the index has_row reads: the presence bitmap up to
+    MAX_TABLE_WIDTH, a searchsorted over the sorted rows beyond it. An
+    assignment outside [0, 2^n - 1] raises evaluate's WidthMismatchError,
+    for the first such x.
+    """
+    n = inst.n
+    try:
+        xs = np.asarray(xs, dtype=np.int64)
+    except OverflowError:  # some x is beyond int64: let evaluate's check name it
+        for x in xs:
+            _check_assignment(n, int(x))
+        raise
+    outside = (xs < 0) | (xs >> n != 0)
+    if outside.any():
+        _check_assignment(n, int(xs[outside.argmax()]))
+    codes = ((1 << n) - 1) ^ xs
+    if n <= MAX_TABLE_WIDTH:
+        blocked = np.frombuffer(inst._member_present, dtype=np.bool_)[codes]
+    else:
+        rows = inst._member_sorted
+        at = np.searchsorted(rows, codes).clip(max=rows.size - 1)
+        blocked = rows[at] == codes
+    return (~blocked).view(np.uint8)
+
+
 def evaluate_by_matching(inst: SsatInstance, x: int) -> int:
     """Same truth value as evaluate, computed the slow way: every row must
     agree with x in at least one digit, checked over all m*n digit pairs."""

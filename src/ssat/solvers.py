@@ -11,7 +11,9 @@ Two families:
 * outer: candidates come from a seeded random permutation of the lower
   half [0, 2^{n-1} - 1] of the assignment space; each step tests the
   candidate and its complement, so the whole space is covered in at most
-  2^{n-1} steps.
+  2^{n-1} steps. The steps are taken in chunks whose candidates are
+  tested in one batch, and the walk may shuffle up to one chunk past
+  the step that hits.
 
 Plus two O(1)/O(k) existence shortcuts that answer from row counts alone,
 and a binary search that locates the unique missing code of a sorted
@@ -21,7 +23,10 @@ Every verdict carries checkable evidence: SAT witnesses are re-verified
 with evaluate before the report is emitted, UNSAT reports name the
 exhaustion argument that proves them. Counters are honest tallies, never
 estimates: iterations counts main-loop passes (for the binary search,
-row-vs-index comparisons) and evaluations counts evaluate calls.
+row-vs-index comparisons) and evaluations counts evaluate calls. The
+outer walk tests a batch at once; its evaluations are the calls the
+sequential walk makes up to its first hit, and the re-check of its
+witness is not counted.
 """
 
 from __future__ import annotations
@@ -29,10 +34,13 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .board import PairTable
 from .errors import PreconditionError, WitnessVerificationError
-from .model import SsatInstance, complement, evaluate
+from .model import BLOCK_ROWS, SsatInstance, complement, evaluate, evaluate_many
 
 SAT = "SAT"
 SAT_EXISTS = "SAT_EXISTS"
@@ -180,43 +188,113 @@ def random_permutation(mi: int, seed=None) -> list[int]:
     return table
 
 
+def _chunk_sizes():
+    """64, 128, 256, ... doubling up to BLOCK_ROWS, then BLOCK_ROWS for
+    ever: small first chunks keep an early exit cheap, the cap keeps a
+    long run's temporaries bounded."""
+    size = 64
+    while True:
+        yield size
+        size = min(2 * size, BLOCK_ROWS)
+
+
+def _randint_draws(rng: random.Random, top: int):
+    """Yield rng.randint(i, top - 1) for i = 0, 1, ..., top - 1: the same
+    values from the same Mersenne Twister stream, decoded from bulk output.
+
+    getrandbits(32 * c) returns c 32-bit words, least significant first,
+    which are the words c calls of getrandbits(32) would return. A draw
+    below a width w reads k = w.bit_length() bits, as CPython's
+    _randbelow_with_getrandbits does: the top k bits of one word for
+    k <= 32, else a full low word and the top k - 32 bits of the next;
+    a value >= w is rejected and the next word or words are read. Words
+    are fetched in blocks of _chunk_sizes(), so the generator's rng may
+    run up to one block ahead of the draws it has yielded.
+    """
+    def block(size):
+        return np.frombuffer(
+            rng.getrandbits(32 * size).to_bytes(4 * size, "little"), dtype="<u4",
+        ).tolist()
+
+    word = chain.from_iterable(map(block, _chunk_sizes())).__next__
+    i = 0
+    while i < top:
+        k = (top - i).bit_length()
+        end = top - (1 << (k - 1)) + 1  # widths of steps i .. end - 1 have k bits
+        if k <= 32:
+            shift = 32 - k
+            for i in range(i, end):
+                w = top - i
+                r = word() >> shift
+                while r >= w:
+                    r = word() >> shift
+                yield i + r
+        else:
+            shift = 64 - k
+            for i in range(i, end):
+                w = top - i
+                r = word() | (word() >> shift) << 32
+                while r >= w:
+                    r = word() | (word() >> shift) << 32
+                yield i + r
+        i = end
+
+
 def outer_random_solve(inst: SsatInstance, seed=None) -> SolverReport:
     """Randomized search from outside the instance: walk a seeded random
     permutation of the lower half of the assignment space, testing each
     candidate and its complement. Every assignment belongs to exactly one
     such pair, so 2^{n-1} failed steps exhaust the space and prove UNSAT.
 
-    The permutation is built lazily, one swap per step, so a SAT run does
-    only as much shuffling as it consumes.
+    The permutation is built lazily, one swap per step, so memory follows
+    the steps taken, not 2^{n-1}. The steps go in chunks of 64, 128, ...
+    up to BLOCK_ROWS; the candidates of a chunk and their complements are
+    tested with one evaluate_many call each, and the first step where
+    either passes ends the walk. So a SAT run shuffles up to one chunk
+    past the step it reports. The seed stream and the counters are those
+    of the sequential walk, which draws j = rng.randint(i, 2^{n-1} - 1)
+    at step i, evaluates the candidate, then its complement, and stops at
+    the first hit: iterations is the step of the hit, and evaluations is
+    2i - 1 when the candidate of step i satisfies, 2i when only its
+    complement does, and 2^n for UNSAT. The witness is checked once more
+    with evaluate before it is reported; that check is not counted.
     """
     n = inst.n
     half = 1 << (n - 1)
-    rng = random.Random(seed)
+    mask = (1 << n) - 1
+    draws = _randint_draws(random.Random(seed), half)
     overrides: dict[int, int] = {}
-    iterations = 0
-    evaluations = 0
+    get, pop = overrides.get, overrides.pop
     seed_field = seed if isinstance(seed, int) else None
-    for i in range(half):
-        iterations += 1
-        j = rng.randint(i, half - 1)
-        candidate = overrides.get(j, j)
-        overrides[j] = overrides.pop(i, i)
-        evaluations += 1
-        if evaluate(inst, candidate):
+    sizes = _chunk_sizes()
+    start = 0
+    while start < half:
+        stop = min(start + next(sizes), half)
+        candidates = []
+        for i, j in zip(range(start, stop), draws):
+            candidates.append(get(j, j))
+            overrides[j] = pop(i, i)
+        xs = np.array(candidates, dtype=np.int64)
+        hit = evaluate_many(inst, xs)
+        passed = np.flatnonzero(hit | evaluate_many(inst, mask ^ xs))
+        if passed.size:
+            t = int(passed[0])
+            iterations = start + t + 1
+            if hit[t]:
+                witness, evaluations = int(xs[t]), 2 * iterations - 1
+            else:
+                witness, evaluations = mask ^ int(xs[t]), 2 * iterations
+            if not evaluate(inst, witness):
+                raise WitnessVerificationError(
+                    f"batch test passed {witness}, which evaluate rejects")
             return SolverReport(
                 algorithm="outer-random", verdict=SAT, iterations=iterations,
-                evaluations=evaluations, witness=candidate, seed=seed_field,
+                evaluations=evaluations, witness=witness, seed=seed_field,
             )
-        other = complement(candidate, n)
-        evaluations += 1
-        if evaluate(inst, other):
-            return SolverReport(
-                algorithm="outer-random", verdict=SAT, iterations=iterations,
-                evaluations=evaluations, witness=other, seed=seed_field,
-            )
+        start = stop
     return SolverReport(
-        algorithm="outer-random", verdict=UNSAT, iterations=iterations,
-        evaluations=evaluations, evidence="exhausted-pairs", seed=seed_field,
+        algorithm="outer-random", verdict=UNSAT, iterations=half,
+        evaluations=2 * half, evidence="exhausted-pairs", seed=seed_field,
     )
 
 

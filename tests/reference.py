@@ -1,17 +1,19 @@
-"""Scalar reference versions of the vectorized pair-table paths.
+"""Scalar reference versions of the vectorized solver paths.
 
-These are the loops `inner_board_solve` and `PairTable.dump` used before
-they moved to numpy blocks. They go through the table one code or one
-cell at a time, so the differential tests can hold the kernels to them.
+These are the loops `inner_board_solve`, `PairTable.dump` and
+`outer_random_solve` used before they moved to numpy blocks. They go one
+code, cell or step at a time, so the differential tests can hold the
+kernels to them.
 """
 
 from __future__ import annotations
 
 import os
+import random
 
 from ssat.board import EMPTY, PairTable, inverse_address
-from ssat.model import SsatInstance
-from ssat.solvers import SAT_EXISTS, UNSAT, SolverReport
+from ssat.model import SsatInstance, complement, evaluate
+from ssat.solvers import SAT, SAT_EXISTS, UNSAT, SolverReport
 
 
 def fill_reference(table: PairTable, codes) -> int:
@@ -53,3 +55,43 @@ def dump_reference(table: PairTable, path: str | os.PathLike) -> None:
         for a, occupied in enumerate(table.cells.tolist()):
             v = inverse_address(a, table.n) if occupied else EMPTY
             fh.write(f"{a} {v}\n")
+
+
+def walk_reference(n: int, seed=None):
+    """The candidates of the seeded outer walk over width n, in order: one
+    rng.randint draw and one lazy swap per step."""
+    half = 1 << (n - 1)
+    rng = random.Random(seed)
+    overrides: dict[int, int] = {}
+    for i in range(half):
+        j = rng.randint(i, half - 1)
+        yield overrides.get(j, j)
+        overrides[j] = overrides.pop(i, i)
+
+
+def outer_random_reference(inst: SsatInstance, seed=None) -> SolverReport:
+    """outer_random_solve one step at a time: evaluate on the candidate
+    and, if it fails, on its complement."""
+    n = inst.n
+    iterations = 0
+    evaluations = 0
+    seed_field = seed if isinstance(seed, int) else None
+    for candidate in walk_reference(n, seed):
+        iterations += 1
+        evaluations += 1
+        if evaluate(inst, candidate):
+            return SolverReport(
+                algorithm="outer-random", verdict=SAT, iterations=iterations,
+                evaluations=evaluations, witness=candidate, seed=seed_field,
+            )
+        other = complement(candidate, n)
+        evaluations += 1
+        if evaluate(inst, other):
+            return SolverReport(
+                algorithm="outer-random", verdict=SAT, iterations=iterations,
+                evaluations=evaluations, witness=other, seed=seed_field,
+            )
+    return SolverReport(
+        algorithm="outer-random", verdict=UNSAT, iterations=iterations,
+        evaluations=evaluations, evidence="exhausted-pairs", seed=seed_field,
+    )

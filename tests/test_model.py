@@ -23,6 +23,7 @@ from ssat import (
     untranslate,
 )
 from ssat.errors import BlowupLimitError
+from ssat.model import evaluate_many
 
 
 def ref_eval(n, rows, x):
@@ -231,6 +232,54 @@ class TestEvaluate:
                 val = evaluate(inst, x)
                 assert val == ref_eval(n, inst.rows.tolist(), x)
                 assert (val == 0) == (complement(x, n) in members)
+
+
+class TestEvaluateMany:
+    @pytest.mark.parametrize("n", [3, 17, 40, 62])
+    def test_matches_evaluate_on_both_paths(self, n):
+        # n <= 30 reads the presence bitmap, wider n searches the sorted
+        # rows; rows are unsorted and hold both end codes
+        top = (1 << n) - 1
+        inst = SsatInstance(n, [5, top, 0, top - 2, 1, 5])
+        rng = random.Random(n)
+        xs = [0, 1, 2, 4, 5, top, top - 1, top - 2, top - 3, top ^ 5]
+        xs += [rng.randrange(1 << n) for _ in range(50)]
+        got = evaluate_many(inst, xs)
+        assert got.dtype == np.uint8
+        assert got.tolist() == [evaluate(inst, x) for x in xs]
+        assert evaluate_many(inst, np.array(xs[::-1])).tolist() == got.tolist()[::-1]
+
+    def test_exhaustive_small_widths(self):
+        rng = random.Random(3)
+        for _ in range(30):
+            n = rng.randint(1, 6)
+            inst = random_instance(rng, n, rng.randint(1, 3 << n))
+            xs = list(range(1 << n))
+            assert evaluate_many(inst, xs).tolist() == [evaluate(inst, x) for x in xs]
+
+    @pytest.mark.parametrize("n", [3, 40])
+    def test_empty_input(self, n):
+        got = evaluate_many(SsatInstance(n, [1]), [])
+        assert got.shape == (0,)
+        assert got.dtype == np.uint8
+
+    @pytest.mark.parametrize("n", [3, 17, 40, 62])
+    @pytest.mark.parametrize("bad", ["below", "above"])
+    def test_out_of_width_raises_like_evaluate(self, n, bad):
+        inst = SsatInstance(n, [1])
+        x = -1 if bad == "below" else 1 << n
+        with pytest.raises(WidthMismatchError) as want:
+            evaluate(inst, x)
+        with pytest.raises(WidthMismatchError) as got:
+            evaluate_many(inst, [0, x, 1])
+        assert str(got.value) == str(want.value)
+
+    def test_names_the_first_bad_assignment(self):
+        inst = SsatInstance(3, [1])
+        with pytest.raises(WidthMismatchError, match="assignment 9 does"):
+            evaluate_many(inst, [1, 9, -1])
+        with pytest.raises(WidthMismatchError, match=f"assignment {2**70} does"):
+            evaluate_many(inst, [1, 2**70])
 
 
 class TestEvaluateByMatching:
