@@ -23,23 +23,16 @@ from .errors import (
     WitnessVerificationError,
 )
 from .model import (
-    ABSENT,
-    DEFAULT_EXPANSION_CAP,
-    MAX_WIDTH,
     SatInstance,
     SsatInstance,
-    TernaryClause,
     complement,
     evaluate,
     evaluate_by_matching,
-    expand_to_ssat,
     is_blocking_pair,
-    ternary_from_clause,
-    ternary_row_code,
     translate_row,
     untranslate,
 )
-from .board import EMPTY, MAX_TABLE_WIDTH, PairTable, address_of, inverse_address
+from .board import EMPTY, PairTable, address_of, inverse_address
 from .solvers import (
     SAT,
     SAT_EXISTS,
@@ -51,10 +44,8 @@ from .solvers import (
     inner_witness_solve,
     outer_random_solve,
     quick_existence,
-    random_permutation,
 )
 from .generators import (
-    DEFAULT_ORACLE_CAP,
     ExtremeSpec,
     brute_force_solution_set,
     build_with_solutions,
@@ -65,23 +56,17 @@ from .generators import (
     prob_ss_outer,
 )
 from .formats import parse_cnf_file, parse_rows_file, write_rows_file
-from .bench import ALGORITHMS, BenchRecord, run_bench, summarize, write_csv
+from .bench import ALGORITHMS, run_bench, summarize
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ABSENT",
     "ALGORITHMS",
-    "BenchRecord",
     "BlowupLimitError",
-    "DEFAULT_EXPANSION_CAP",
-    "DEFAULT_ORACLE_CAP",
     "DomainError",
     "DuplicateVariableError",
     "EMPTY",
     "ExtremeSpec",
-    "MAX_TABLE_WIDTH",
-    "MAX_WIDTH",
     "MissingVariableError",
     "OracleCapError",
     "PairTable",
@@ -93,7 +78,6 @@ __all__ = [
     "SolverReport",
     "SsatError",
     "SsatInstance",
-    "TernaryClause",
     "UNSAT",
     "WidthMismatchError",
     "WitnessVerificationError",
@@ -106,7 +90,6 @@ __all__ = [
     "duplicate_and_shuffle",
     "evaluate",
     "evaluate_by_matching",
-    "expand_to_ssat",
     "extreme_instance",
     "inner_board_solve",
     "inner_witness_solve",
@@ -119,13 +102,9 @@ __all__ = [
     "prob_ss_inner",
     "prob_ss_outer",
     "quick_existence",
-    "random_permutation",
     "run_bench",
     "summarize",
-    "ternary_from_clause",
-    "ternary_row_code",
     "translate_row",
     "untranslate",
-    "write_csv",
     "write_rows_file",
 ]

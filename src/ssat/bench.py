@@ -19,9 +19,9 @@ import os
 import random
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 from .generators import ExtremeSpec, build_with_solutions, extreme_instance
-from .model import SsatInstance
 from .solvers import (
     binary_search_solve,
     inner_board_solve,
@@ -30,9 +30,32 @@ from .solvers import (
     quick_existence,
 )
 
-ALGORITHMS = ("quick", "inner-board", "inner-witness", "outer-random", "binary-search")
-# Algorithms that call evaluate, and so read the instance's membership index.
-EVALUATING = frozenset({"inner-witness", "outer-random", "binary-search"})
+
+@dataclass(frozen=True)
+class Solver:
+    """What one algorithm name runs, and what the run touches.
+
+    run(inst, seed, dump_board) looks its solver function up in this
+    module's globals at call time, so a function patched onto ssat.bench
+    is the one every caller runs."""
+    run: Callable
+    evaluates: bool = False  # reads the membership index
+    seeded: bool = False  # consumes the seed
+    dumps_board: bool = False  # writes the pair table to dump_board
+
+
+SOLVERS = {
+    "quick": Solver(lambda inst, seed, dump: quick_existence(inst.n, inst.m)),
+    "inner-board": Solver(lambda inst, seed, dump: inner_board_solve(inst, dump),
+                          dumps_board=True),
+    "inner-witness": Solver(lambda inst, seed, dump: inner_witness_solve(inst, dump),
+                            evaluates=True, dumps_board=True),
+    "outer-random": Solver(lambda inst, seed, dump: outer_random_solve(inst, seed),
+                           evaluates=True, seeded=True),
+    "binary-search": Solver(lambda inst, seed, dump: binary_search_solve(inst),
+                            evaluates=True),
+}
+ALGORITHMS = tuple(SOLVERS)
 SCENARIOS = ("unique", "none")
 
 CSV_FIELDS = ("algorithm", "n", "m", "r", "seed", "verdict",
@@ -58,20 +81,6 @@ class BenchRecord:
         return [getattr(self, f) for f in CSV_FIELDS]
 
 
-def _solve_once(algorithm: str, inst: SsatInstance, seed: int):
-    if algorithm == "quick":
-        return quick_existence(inst.n, inst.m)
-    if algorithm == "inner-board":
-        return inner_board_solve(inst)
-    if algorithm == "inner-witness":
-        return inner_witness_solve(inst)
-    if algorithm == "outer-random":
-        return outer_random_solve(inst, seed)
-    if algorithm == "binary-search":
-        return binary_search_solve(inst)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
-
-
 def run_bench(
     n: int,
     trials: int,
@@ -89,7 +98,7 @@ def run_bench(
     if not algorithms:
         raise ValueError("need at least one algorithm")
     for a in algorithms:
-        if a not in ALGORITHMS:
+        if a not in SOLVERS:
             raise ValueError(f"unknown algorithm {a!r}, choose from {ALGORITHMS}")
     if "binary-search" in algorithms and (scenario != "unique" or duplicates > 0):
         raise ValueError(
@@ -108,16 +117,17 @@ def run_bench(
             ExtremeSpec(n, solution, duplicates, shuffle_seed=f"{seed_t}:shuffle")
         )
         for algorithm in algorithms:
+            solver = SOLVERS[algorithm]
             if algorithm == "binary-search":
                 # its contract wants the sorted duplicate-free base
                 run_inst = build_with_solutions(n, (solution,))
             else:
                 run_inst = inst
-            if algorithm in EVALUATING:
+            if solver.evaluates:
                 # built here, not inside whichever solver evaluates first
                 run_inst.build_index()
             t0 = time.perf_counter_ns()
-            report = _solve_once(algorithm, run_inst, seed_t)
+            report = solver.run(run_inst, seed_t, None)
             wall_ns = time.perf_counter_ns() - t0
             if report is None:
                 verdict, iterations, evaluations = UNDETERMINED, 0, 0

@@ -7,7 +7,8 @@ generated instance), bench (iteration-count trials to CSV), prob
 Exit codes follow solver conventions: 10 for a SAT answer (witness or
 existence), 20 for UNSAT, 1 for usage errors, bad input, or an
 undetermined quick run. The environment variable SSAT_SEED supplies the
-default seed wherever --seed/--seed-base is omitted.
+default --seed of the seeded algorithms (outer-random) and the default
+--seed-base of bench; solve with any other algorithm never reads it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 import os
 import sys
 
-from .bench import ALGORITHMS, SCENARIOS, run_bench, write_csv
+from .bench import ALGORITHMS, SCENARIOS, SOLVERS, run_bench, write_csv
 from .errors import SsatError
 from .formats import parse_cnf_file, parse_rows_file, write_rows_file
 from .generators import (
@@ -28,10 +29,9 @@ from .generators import (
     prob_ss_inner,
     prob_ss_outer,
 )
-from .solvers import (
-    SAT,
-    SAT_EXISTS,
-    UNSAT,
+from .solvers import SAT, SAT_EXISTS, UNSAT
+# Not called here; perfbench/tracing.py patches these names on ssat.cli.
+from .solvers import (  # noqa: F401
     binary_search_solve,
     inner_board_solve,
     inner_witness_solve,
@@ -77,36 +77,24 @@ def _cmd_solve(args) -> int:
         # general CNF is accepted by rewriting it into fixed-width rows
         inst = parse_cnf_file(args.input, mode="expand")
 
-    algorithm = args.algorithm
-    runs_inner = algorithm in ("inner-board", "inner-witness") or (
-        algorithm == "quick" and args.witness
-    )
-    if args.dump_board and not runs_inner:
+    # quick --witness escalates to a real search
+    name = "inner-witness" if args.algorithm == "quick" and args.witness else args.algorithm
+    solver = SOLVERS[name]
+    if args.dump_board and not solver.dumps_board:
         print("error: --dump-board needs an inner algorithm run", file=sys.stderr)
         return 1
-
-    if algorithm == "quick":
-        if args.witness:
-            report = inner_witness_solve(inst, dump_board=args.dump_board)
-        else:
-            report = quick_existence(inst.n, inst.m)
-            if report is None:
-                print(json.dumps({
-                    "algorithm": "quick", "verdict": "UNDETERMINED",
-                    "iterations": 0, "evaluations": 0,
-                }))
-                print("quick existence test cannot decide m >= 2^n; "
-                      "rerun with --witness or another algorithm", file=sys.stderr)
-                return 1
-    elif algorithm == "inner-board":
-        report = inner_board_solve(inst, dump_board=args.dump_board)
-    elif algorithm == "inner-witness":
-        report = inner_witness_solve(inst, dump_board=args.dump_board)
-    elif algorithm == "outer-random":
+    seed = None
+    if solver.seeded:
         seed = args.seed if args.seed is not None else _env_seed()
-        report = outer_random_solve(inst, seed)
-    else:
-        report = binary_search_solve(inst)
+    report = solver.run(inst, seed, args.dump_board)
+    if report is None:
+        print(json.dumps({
+            "algorithm": "quick", "verdict": "UNDETERMINED",
+            "iterations": 0, "evaluations": 0,
+        }))
+        print("quick existence test cannot decide m >= 2^n; "
+              "rerun with --witness or another algorithm", file=sys.stderr)
+        return 1
 
     _print_report(report, inst.n)
     if report.verdict in (SAT, SAT_EXISTS):
@@ -129,11 +117,14 @@ def _parse_solutions(text: str) -> list[int]:
 
 def _cmd_gen(args) -> int:
     solutions = _parse_solutions(args.solutions)
-    inst = build_with_solutions(args.n, solutions)
+    if args.duplicates < 0:
+        print("error: --duplicates must be nonnegative", file=sys.stderr)
+        return 1
     if args.duplicates > 0 and args.shuffle_seed is None:
         print("error: --duplicates needs --shuffle-seed (draws are random)",
               file=sys.stderr)
         return 1
+    inst = build_with_solutions(args.n, solutions)
     if args.duplicates > 0 or args.shuffle_seed is not None:
         inst = duplicate_and_shuffle(inst, args.duplicates, args.shuffle_seed)
     write_rows_file(args.out, inst)

@@ -13,7 +13,8 @@ modes:
 
 * strict-ssat: every clause must mention every variable exactly once;
   parses straight to fixed-width rows. A repeated literal or a clause
-  holding both v and -v is a ParseError naming the clause's line.
+  holding both v and -v is a ParseError, and a clause that skips a
+  variable a MissingVariableError, each naming the clause's first line.
 * expand: clauses may skip variables; each one is rewritten into the
   equivalent set of fixed-width rows (2^k rows for k skipped variables).
 * ternary: no rewriting; returns the general instance as ternary digit
@@ -31,7 +32,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import MissingVariableError, ParseError
 from .model import (
     BLOCK_ROWS,
     DEFAULT_EXPANSION_CAP,
@@ -204,7 +205,7 @@ def parse_cnf_file(
         raise ParseError("clause count must be at least 1", 1)
 
     strict = mode == "strict-ssat"
-    clauses: list[list[int]] = []  # tautologies left out
+    clauses: list = []  # row codes in strict-ssat, else clauses minus tautologies
     read = 0
     current: list[int] = []
     first_line = last_line = 1
@@ -219,7 +220,12 @@ def parse_cnf_file(
                 raise ParseError("empty clause (bare 0)", lineno)
             read += 1
             clause = _clean_clause(current, strict, first_line)
-            if clause is not None:
+            if strict:
+                try:
+                    clauses.append(translate_row(clause, n))
+                except MissingVariableError as exc:
+                    raise MissingVariableError(f"line {first_line}: {exc}") from None
+            elif clause is not None:
                 clauses.append(clause)
             current = []
             continue
@@ -236,7 +242,7 @@ def parse_cnf_file(
         raise ParseError("every clause is a tautology; no constraint is left", last_line)
 
     if strict:
-        return SsatInstance(n, np.array([translate_row(c, n) for c in clauses], dtype=np.int64))
+        return SsatInstance(n, np.array(clauses, dtype=np.int64))
     sat = SatInstance(n, tuple(ternary_from_clause(c, n) for c in clauses))
     if mode == "ternary":
         return sat

@@ -33,9 +33,9 @@ from ssat import (
     prob_ss_inner,
     prob_ss_outer,
     quick_existence,
-    random_permutation,
     run_bench,
 )
+from ssat.solvers import random_permutation
 
 
 def test_criterion_01_worked_example_fidelity():

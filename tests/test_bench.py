@@ -1,12 +1,25 @@
-"""Benchmark harness: records, determinism, CSV output."""
+"""Benchmark harness and solver table: records, determinism, CSV output,
+and the flags and module attributes callers rely on."""
 
+import argparse
 import csv
 
 import pytest
 
+import ssat
 import ssat.bench
-from ssat import run_bench, summarize, write_csv
-from ssat.bench import UNDETERMINED
+import ssat.cli
+from ssat import build_with_solutions, run_bench, summarize
+from ssat.bench import SOLVERS, UNDETERMINED, write_csv
+from test_golden import RUNS
+
+# The solver functions perfbench/tracing.py swaps for traced wrappers on
+# ssat.cli and ssat.bench, and the top-level names perfbench reads.
+TRACED_SOLVERS = ("quick_existence", "inner_board_solve", "inner_witness_solve",
+                  "outer_random_solve", "binary_search_solve")
+PERFBENCH_NAMES = ("ExtremeSpec", "PairTable", "build_with_solutions", "complement",
+                   "evaluate", "extreme_instance", "outer_random_solve",
+                   "parse_rows_file", "write_rows_file")
 
 
 def index_built(inst) -> bool:
@@ -100,6 +113,43 @@ class TestRunBench:
             run_bench(4, 1, "unique", [])
         with pytest.raises(ValueError):
             run_bench(4, 1, "unique", ["nosuch"])
+
+
+class TestSolverTable:
+    @pytest.mark.parametrize("name", SOLVERS)
+    def test_flags_match_the_run(self, name, tmp_path):
+        solver = SOLVERS[name]
+        # n=4, unique solution, sorted: every solver accepts it and quick decides
+        inst = build_with_solutions(4, {9})
+        dump = tmp_path / "board.txt"
+        report = solver.run(inst, 12345, dump if solver.dumps_board else None)
+        assert index_built(inst) == solver.evaluates
+        assert (report.seed == 12345) == solver.seeded
+        assert dump.exists() == solver.dumps_board
+
+    def test_cli_choices_are_the_table(self):
+        parser = ssat.cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        algorithm = next(a for a in sub.choices["solve"]._actions if a.dest == "algorithm")
+        assert tuple(algorithm.choices) == tuple(SOLVERS) == ssat.ALGORITHMS
+
+    def test_golden_runs_cover_the_table(self):
+        pinned = {argv[argv.index("--algorithm") + 1] for argv in RUNS.values()}
+        assert pinned == set(SOLVERS)
+
+    @pytest.mark.parametrize("module", [ssat.cli, ssat.bench])
+    def test_traced_solver_attributes(self, module):
+        for name in TRACED_SOLVERS:
+            assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+
+    def test_perfbench_top_level_names(self):
+        for name in PERFBENCH_NAMES:
+            assert hasattr(ssat, name), name
+        for module in (ssat.cli, ssat.generators):
+            assert hasattr(module, "build_with_solutions")
+            assert hasattr(module, "duplicate_and_shuffle")
+        assert hasattr(ssat.cli, "parse_rows_file") and hasattr(ssat.cli, "write_rows_file")
+        assert hasattr(ssat.bench, "extreme_instance") and hasattr(ssat.board.PairTable, "dump")
 
 
 class TestSummary:

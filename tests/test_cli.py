@@ -8,6 +8,7 @@ import subprocess
 import pytest
 
 from ssat import build_with_solutions, parse_rows_file, write_rows_file
+from ssat.bench import SOLVERS
 from ssat.cli import main
 
 WORKED_TEXT = "ssat 3 7\n000\n001\n010\n011\n101\n110\n111\n"
@@ -110,6 +111,12 @@ class TestSolve:
         assert code == 20
         assert report["seed"] == 42
 
+    def test_seed_env_read_only_by_seeded_algorithms(self, worked_file, monkeypatch):
+        monkeypatch.setenv("SSAT_SEED", "not-a-number")
+        for name, solver in SOLVERS.items():
+            code = main(["solve", "--input", worked_file, "--algorithm", name])
+            assert code == (1 if solver.seeded else 10), name
+
     def test_parse_error_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.rows"
         path.write_text("ssat 3 1\n012\n")
@@ -154,6 +161,15 @@ class TestGen:
                      "--out", str(tmp_path / "x.rows")])
         assert code == 1
         assert "shuffle-seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed_args", [[], ["--shuffle-seed", "1"]])
+    def test_negative_duplicates(self, tmp_path, capsys, seed_args):
+        out = tmp_path / "x.rows"
+        code = main(["gen", "--n", "3", "--solutions", "3", "--duplicates", "-5",
+                     *seed_args, "--out", str(out)])
+        assert code == 1
+        assert "--duplicates" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_reveal(self, tmp_path, capsys):
         out = tmp_path / "g.rows"

@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from ssat import (
-    ABSENT,
     MissingVariableError,
     ParseError,
     SatInstance,
@@ -19,6 +18,7 @@ from ssat import (
 )
 from ssat.errors import BlowupLimitError
 from ssat.formats import CNF_MODES, _parse_rows_lines, _parse_rows_strict
+from ssat.model import ABSENT
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -297,3 +297,12 @@ class TestCnfFormat:
         with pytest.raises(ParseError, match=message) as err:
             parse_cnf_file(write(tmp_path, "w.cnf", text), mode="strict-ssat")
         assert err.value.line == line
+
+    @pytest.mark.parametrize("text, message", [
+        ("p cnf 3 2\n1 2 3 0\n1 2 0\n", "line 3: clause does not mention x_2"),
+        ("p cnf 3 2\n1 2 3 0\nc split clause\n-2\n1 0\n", "line 4: clause does not mention x_2"),
+    ])
+    def test_strict_mode_names_the_sparse_clause_line(self, tmp_path, text, message):
+        with pytest.raises(MissingVariableError) as err:
+            parse_cnf_file(write(tmp_path, "x.cnf", text), mode="strict-ssat")
+        assert str(err.value) == message

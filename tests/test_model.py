@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from ssat import (
-    ABSENT,
     DuplicateVariableError,
     MissingVariableError,
     SatInstance,
@@ -15,15 +14,12 @@ from ssat import (
     complement,
     evaluate,
     evaluate_by_matching,
-    expand_to_ssat,
     is_blocking_pair,
-    ternary_from_clause,
-    ternary_row_code,
     translate_row,
     untranslate,
 )
 from ssat.errors import BlowupLimitError
-from ssat.model import evaluate_many
+from ssat.model import ABSENT, evaluate_many, expand_to_ssat, ternary_from_clause, ternary_row_code
 
 
 def ref_eval(n, rows, x):

@@ -9,6 +9,8 @@ from ssat import (
     SAT,
     SAT_EXISTS,
     UNSAT,
+    ParseError,
+    SsatError,
     SsatInstance,
     binary_search_solve,
     brute_force_solution_set,
@@ -19,10 +21,12 @@ from ssat import (
     inner_board_solve,
     inner_witness_solve,
     outer_random_solve,
+    parse_cnf_file,
     parse_rows_file,
     quick_existence,
     write_rows_file,
 )
+from ssat.formats import CNF_MODES
 
 
 @st.composite
@@ -41,6 +45,17 @@ def instances(draw, max_n=8):
     if duplicates:
         inst = duplicate_and_shuffle(inst, duplicates, draw(st.integers(0, 2**32)))
     return inst
+
+
+# Arbitrary bytes, and bytes that get past the header: a valid header of
+# either format followed by text over the characters the parsers read.
+HEADERS = (b"ssat 3 2\n", b"ssat 1 3\n", b"p cnf 3 2\n", b"p cnf 2 1\n")
+FILE_BYTES = st.one_of(
+    st.binary(max_size=120),
+    st.tuples(st.sampled_from(HEADERS),
+              st.text(alphabet="0123 -\n\r\t%cp", max_size=60).map(str.encode),
+              ).map(b"".join),
+)
 
 
 def reports(inst, seed):
@@ -105,3 +120,25 @@ class TestRowsRoundTrip:
         back = parse_rows_file(path)
         assert back.n == n
         assert back.rows.tolist() == rows
+
+
+class TestParsersOnArbitraryBytes:
+    @settings(max_examples=300, deadline=None)
+    @given(FILE_BYTES)
+    def test_rows_parser_raises_only_parse_errors(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("fuzz") / "x.rows"
+        path.write_bytes(data)
+        try:
+            parse_rows_file(path)
+        except (ParseError, UnicodeDecodeError):
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(FILE_BYTES, st.sampled_from(CNF_MODES))
+    def test_cnf_parser_raises_only_typed_errors(self, tmp_path_factory, data, mode):
+        path = tmp_path_factory.mktemp("fuzz") / "x.cnf"
+        path.write_bytes(data)
+        try:
+            parse_cnf_file(path, mode=mode)
+        except (SsatError, UnicodeDecodeError):
+            pass

@@ -21,8 +21,8 @@ from ssat import (
     inner_witness_solve,
     outer_random_solve,
     quick_existence,
-    random_permutation,
 )
+from ssat.solvers import random_permutation
 
 WORKED = SsatInstance(3, [0, 1, 2, 3, 5, 6, 7])
 
