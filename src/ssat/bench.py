@@ -41,6 +41,7 @@ class Solver:
     run: Callable
     evaluates: bool = False  # reads the membership index
     seeded: bool = False  # consumes the seed
+    witnesses: bool = False  # a SAT verdict comes with a witness
     dumps_board: bool = False  # writes the pair table to dump_board
 
 
@@ -49,11 +50,11 @@ SOLVERS = {
     "inner-board": Solver(lambda inst, seed, dump: inner_board_solve(inst, dump),
                           dumps_board=True),
     "inner-witness": Solver(lambda inst, seed, dump: inner_witness_solve(inst, dump),
-                            evaluates=True, dumps_board=True),
+                            evaluates=True, witnesses=True, dumps_board=True),
     "outer-random": Solver(lambda inst, seed, dump: outer_random_solve(inst, seed),
-                           evaluates=True, seeded=True),
+                           evaluates=True, seeded=True, witnesses=True),
     "binary-search": Solver(lambda inst, seed, dump: binary_search_solve(inst),
-                            evaluates=True),
+                            evaluates=True, witnesses=True),
 }
 ALGORITHMS = tuple(SOLVERS)
 SCENARIOS = ("unique", "none")

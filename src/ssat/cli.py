@@ -83,6 +83,14 @@ def _cmd_solve(args) -> int:
     if args.dump_board and not solver.dumps_board:
         print("error: --dump-board needs an inner algorithm run", file=sys.stderr)
         return 1
+    if args.witness and not solver.witnesses:
+        print(f"error: --witness needs an algorithm that reports one, not {args.algorithm}",
+              file=sys.stderr)
+        return 1
+    if args.seed is not None and not solver.seeded:
+        print(f"error: --seed needs a seeded algorithm, not {args.algorithm}",
+              file=sys.stderr)
+        return 1
     seed = None
     if solver.seeded:
         seed = args.seed if args.seed is not None else _env_seed()
@@ -181,10 +189,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--format", choices=("rows", "cnf"), default="rows")
     p_solve.add_argument("--algorithm", required=True, choices=ALGORITHMS)
     p_solve.add_argument("--seed", type=int, default=None,
-                         help="RNG seed (default: SSAT_SEED or 0)")
+                         help="RNG seed of a seeded algorithm "
+                              "(default: SSAT_SEED or 0)")
     p_solve.add_argument("--witness", action="store_true",
                          help="force a witness search even when the quick "
-                              "existence test answers")
+                              "existence test answers; an error with an "
+                              "algorithm that reports no witness")
     p_solve.add_argument("--dump-board", default=None, metavar="PATH",
                          help="write the pair table after an inner run")
     p_solve.set_defaults(func=_cmd_solve)

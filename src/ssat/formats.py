@@ -46,19 +46,39 @@ from .model import (
 
 CNF_MODES = ("strict-ssat", "expand", "ternary")
 
+# The rows codec handles a line's digits as little-endian uint64 words of 8
+# bytes. "0" and "1" differ only in bit 0, so xor with _ZEROS leaves each
+# digit in bit 0 of its byte, and multiplying by _GATHER then moves bit 0
+# of byte b to bit 63 - b: the top byte holds the word's 8 digits, the one
+# at the lowest address highest. No two partial products share a bit, so
+# nothing carries into the top byte. Every operand is a uint64, so numpy
+# 1.x and 2.x promote alike.
+_ZEROS = np.uint64(0x3030303030303030)
+_HIGH_BITS = np.uint64(0xFEFEFEFEFEFEFEFE)
+_GATHER = np.uint64(0x8040201008040201)
+_SHIFT = np.uint64(56)
+_SHIFT_WORD = np.uint64(8)
+# _DIGITS[b] is the byte b as 8 ASCII digits, highest bit first, and
+# _WORDS[b] the same 8 bytes read as one word
+_DIGITS = np.frombuffer("".join(format(b, "08b") for b in range(256)).encode("ascii"),
+                        dtype=np.uint8).reshape(256, 8)
+_WORDS = _DIGITS.view("<u8").ravel()
+
 
 def parse_rows_file(path: str | os.PathLike) -> SsatInstance:
     """Read a rows file. A strictly laid-out file (every line ends in
-    "\n", every row is exactly n digits) is decoded with numpy, one pass
-    per digit column over blocks of rows; any other file goes through the
-    line loop, which accepts the tolerated layouts and names the line of
-    any error."""
+    "\n", every row is exactly n digits) is decoded with numpy over blocks
+    of rows, eight digits per uint64 word read in place from the file's
+    bytes, with the 0/1 check folded into the same pass; any other file
+    goes through the line loop, which accepts the tolerated layouts and
+    names the line of any error."""
     with open(path, "rb") as fh:
         data = fh.read()
-    inst = _parse_rows_strict(data)
-    if inst is None:
-        inst = _parse_rows_lines(data.decode("ascii"))
-    return inst
+    decoded = _parse_rows_strict(data)
+    if decoded is None:
+        return _parse_rows_lines(data.decode("ascii"))
+    del data  # the instance copies the codes: let the file's bytes go first
+    return SsatInstance(*decoded)
 
 
 def _parse_header(line: str) -> tuple[int, int]:
@@ -77,11 +97,11 @@ def _parse_header(line: str) -> tuple[int, int]:
     return n, m
 
 
-def _parse_rows_strict(data: bytes) -> SsatInstance | None:
-    """The instance of a file laid out exactly as write_rows_file writes
-    it: a valid one-line header, then m lines of n characters over 0/1,
-    each closed by "\n" and nothing after them. None for any other file,
-    which the line loop then accepts or rejects."""
+def _parse_rows_strict(data: bytes) -> tuple[int, np.ndarray] | None:
+    """n and the row codes of a file laid out exactly as write_rows_file
+    writes it: a valid one-line header, then m lines of n characters over
+    0/1, each closed by "\n" and nothing after them. None for any other
+    file, which the line loop then accepts or rejects."""
     end = data.find(b"\n")
     if end < 0 or not data[:end].isascii():
         return None
@@ -96,22 +116,36 @@ def _parse_rows_strict(data: bytes) -> SsatInstance | None:
         return None  # the line loop raises it, after the same checks as always
     if len(data) - (end + 1) != m * (n + 1):
         return None
-    grid = np.frombuffer(data, dtype=np.uint8, offset=end + 1).reshape(m, n + 1)
-    codes = np.empty(m, dtype=np.int64)
-    # blocks of rows keep each column pass inside the cache
+    stride = n + 1
+    words = -(-n // 8)
+    # Word j of a row is the 8 bytes that end 8j bytes before the row's
+    # "\n": bits 8j .. 8j + 7 of its code. The leftmost word starts up to 7
+    # bytes before its row, in the row above or in the header, which is
+    # never shorter than "ssat 1 1\n"; no word reads past the last "\n".
+    cols = [np.ndarray(m, "<u8", data, end + 1 + n - 8 * (j + 1), (stride,))
+            for j in range(words)]
+    newlines = np.ndarray(m, np.uint8, data, end + 1 + n, (stride,))
+    # the leftmost word's digit bytes
+    lead = np.uint64((1 << 64) - (1 << 8 * (8 * words - n)))
+    codes = np.zeros(m, dtype=np.uint64)
+    # blocks of rows keep each word's temporaries inside the cache
     for start in range(0, m, BLOCK_ROWS):
-        block = grid[start:start + BLOCK_ROWS]
-        digits = block[:, :n]
-        # "0" and "1" are the only bytes b with b | 1 == ord("1")
-        if ((digits | 1) != ord("1")).any() or (block[:, n] != ord("\n")).any():
+        rows = slice(start, start + BLOCK_ROWS)
+        if (newlines[rows] != ord("\n")).any():
             return None
-        # leftmost digit is the highest bit; bit 0 of the byte is the digit
-        out = codes[start:start + BLOCK_ROWS]
-        out[:] = digits[:, 0] & 1
-        for j in range(1, n):
-            out <<= 1
-            out |= digits[:, j] & 1
-    return SsatInstance(n, codes)
+        out = codes[rows]
+        for j in reversed(range(words)):
+            w = cols[j][rows] ^ _ZEROS
+            if j == words - 1:
+                w &= lead
+            # "0" and "1" are the only bytes that xor "0" leaves below 2
+            if np.bitwise_or.reduce(w) & _HIGH_BITS:
+                return None
+            w *= _GATHER
+            w >>= _SHIFT
+            out <<= _SHIFT_WORD
+            out |= w
+    return n, codes.view(np.int64)
 
 
 def _parse_rows_lines(text: str) -> SsatInstance:
@@ -138,19 +172,30 @@ def _parse_rows_lines(text: str) -> SsatInstance:
 
 def write_rows_file(path: str | os.PathLike, inst: SsatInstance) -> None:
     """Inverse of parse_rows_file, bit-exact round trip. Each block of
-    rows becomes a (rows, n + 1) byte grid: one pass per bit column, then
-    a column of "\n"."""
+    rows becomes its lines' bytes one word of 8 digits at a time, each
+    word looked up from the code's byte, then a column of "\n"."""
     n = inst.n
+    stride = n + 1
+    words = -(-n // 8)
     with open(path, "wb") as fh:
         fh.write(f"ssat {n} {inst.m}\n".encode("ascii"))
         for start in range(0, inst.m, BLOCK_ROWS):
             block = inst.rows[start:start + BLOCK_ROWS]
-            grid = np.empty((block.size, n + 1), dtype=np.uint8)
-            for j in range(n):
-                grid[:, j] = (block >> (n - 1 - j)) & 1
-            grid[:, :n] += ord("0")
-            grid[:, n] = ord("\n")
-            fh.write(grid.tobytes())
+            # 8 spare bytes in front take what the first row's leftmost
+            # word writes before the row
+            buf = np.empty(8 + block.size * stride, dtype=np.uint8)
+            lines = buf[8:].reshape(block.size, stride)
+            if n + 1 < 8:  # a word is longer than a line
+                lines[:, :n] = _DIGITS.take(block, axis=0)[:, 8 - n:]
+            else:
+                # the words where parse reads them, leftmost first: what
+                # one writes before its row lands on the row above's "\n"
+                # and last digits, which later passes write over
+                for j in reversed(range(words)):
+                    col = np.ndarray(block.size, "<u8", buf, 8 + n - 8 * (j + 1), (stride,))
+                    col[:] = _WORDS.take((block >> 8 * j) & 0xFF)
+            lines[:, n] = ord("\n")
+            fh.write(buf[8:])
 
 
 def _cnf_tokens(lines: list[str]) -> Iterator[tuple[int, str]]:

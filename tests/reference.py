@@ -3,7 +3,8 @@
 These are the loops `inner_board_solve`, `PairTable.dump` and
 `outer_random_solve` used before they moved to numpy blocks. They go one
 code, cell or step at a time, so the differential tests can hold the
-kernels to them.
+kernels to them. The rows codec keeps the one digit column at a time
+decoder and encoder that the word-at-a-time codec replaced.
 """
 
 from __future__ import annotations
@@ -11,8 +12,12 @@ from __future__ import annotations
 import os
 import random
 
+import numpy as np
+
 from ssat.board import EMPTY, PairTable, inverse_address
-from ssat.model import SsatInstance, complement, evaluate
+from ssat.errors import ParseError
+from ssat.formats import _parse_header
+from ssat.model import BLOCK_ROWS, SsatInstance, complement, evaluate
 from ssat.solvers import SAT, SAT_EXISTS, UNSAT, SolverReport
 
 
@@ -95,3 +100,48 @@ def outer_random_reference(inst: SsatInstance, seed=None) -> SolverReport:
         algorithm="outer-random", verdict=UNSAT, iterations=iterations,
         evaluations=evaluations, evidence="exhausted-pairs", seed=seed_field,
     )
+
+
+def parse_rows_strict_reference(data: bytes) -> tuple[int, np.ndarray] | None:
+    """formats._parse_rows_strict one digit column at a time."""
+    end = data.find(b"\n")
+    if end < 0 or not data[:end].isascii():
+        return None
+    text = data[:end].decode("ascii")
+    if text.splitlines() != [text]:
+        return None
+    try:
+        n, m = _parse_header(text)
+    except ParseError:
+        return None
+    if len(data) - (end + 1) != m * (n + 1):
+        return None
+    grid = np.frombuffer(data, dtype=np.uint8, offset=end + 1).reshape(m, n + 1)
+    codes = np.empty(m, dtype=np.int64)
+    for start in range(0, m, BLOCK_ROWS):
+        block = grid[start:start + BLOCK_ROWS]
+        digits = block[:, :n]
+        # "0" and "1" are the only bytes b with b | 1 == ord("1")
+        if ((digits | 1) != ord("1")).any() or (block[:, n] != ord("\n")).any():
+            return None
+        out = codes[start:start + BLOCK_ROWS]
+        out[:] = digits[:, 0] & 1
+        for j in range(1, n):
+            out <<= 1
+            out |= digits[:, j] & 1
+    return n, codes
+
+
+def rows_bytes_reference(inst: SsatInstance) -> bytes:
+    """The bytes write_rows_file writes, one bit column at a time."""
+    n = inst.n
+    parts = [f"ssat {n} {inst.m}\n".encode("ascii")]
+    for start in range(0, inst.m, BLOCK_ROWS):
+        block = inst.rows[start:start + BLOCK_ROWS]
+        grid = np.empty((block.size, n + 1), dtype=np.uint8)
+        for j in range(n):
+            grid[:, j] = (block >> (n - 1 - j)) & 1
+        grid[:, :n] += ord("0")
+        grid[:, n] = ord("\n")
+        parts.append(grid.tobytes())
+    return b"".join(parts)

@@ -125,6 +125,7 @@ class TestSolverTable:
         report = solver.run(inst, 12345, dump if solver.dumps_board else None)
         assert index_built(inst) == solver.evaluates
         assert (report.seed == 12345) == solver.seeded
+        assert (report.witness is not None) == solver.witnesses
         assert dump.exists() == solver.dumps_board
 
     def test_cli_choices_are_the_table(self):

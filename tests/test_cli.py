@@ -95,6 +95,34 @@ class TestSolve:
                      "--dump-board", str(tmp_path / "b.txt")])
         assert code == 1
 
+    def test_witness_needs_a_witnessing_algorithm(self, worked_file, capsys):
+        for name, solver in SOLVERS.items():
+            code = main(["solve", "--input", worked_file, "--algorithm", name, "--witness"])
+            captured = capsys.readouterr()
+            if name == "quick" or solver.witnesses:
+                assert code == 10, name
+                assert "witness" in json.loads(captured.out), name
+            else:
+                assert code == 1, name
+                assert captured.out == ""
+                assert captured.err.startswith("error: --witness"), name
+
+    def test_seed_needs_a_seeded_algorithm(self, worked_file, capsys, monkeypatch):
+        monkeypatch.setenv("SSAT_SEED", "3")  # the default seed stays silent
+        for name, solver in SOLVERS.items():
+            assert main(["solve", "--input", worked_file, "--algorithm", name]) == 10
+            capsys.readouterr()
+            code = main(["solve", "--input", worked_file, "--algorithm", name,
+                         "--seed", "7"])
+            captured = capsys.readouterr()
+            if solver.seeded:
+                assert code == 10, name
+                assert json.loads(captured.out)["seed"] == 7
+            else:
+                assert code == 1, name
+                assert captured.out == ""
+                assert captured.err.startswith("error: --seed"), name
+
     def test_cnf_input(self, tmp_path, capsys):
         path = tmp_path / "inst.cnf"
         path.write_text("p cnf 2 2\n-2 1 0\n2 1 0\n")

@@ -3,7 +3,10 @@
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssat import (
     MissingVariableError,
@@ -18,7 +21,9 @@ from ssat import (
 )
 from ssat.errors import BlowupLimitError
 from ssat.formats import CNF_MODES, _parse_rows_lines, _parse_rows_strict
-from ssat.model import ABSENT
+from ssat.model import ABSENT, BLOCK_ROWS
+
+from reference import parse_rows_strict_reference, rows_bytes_reference
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -107,8 +112,7 @@ class TestRowsCodec:
             rows = [rng.getrandbits(n) for _ in range(rng.randint(1, 300))]
             rows[rng.randrange(len(rows))] = (1 << n) - 1
             text = rows_text(n, rows)
-            fast = _parse_rows_strict(text.encode("ascii"))
-            assert fast is not None
+            fast = SsatInstance(*_parse_rows_strict(text.encode("ascii")))
             assert fast == _parse_rows_lines(text)
             assert fast.rows.tolist() == rows
             path = write(tmp_path, f"d{i}.rows", text)
@@ -180,6 +184,77 @@ class TestRowsCodec:
         path = tmp_path / "w.rows"
         write_rows_file(path, SsatInstance(self.BIG_N, rows))
         assert path.read_text(encoding="ascii") == rows_text(self.BIG_N, rows)
+
+
+# one-byte replacements: a wrong digit, line ends, a blank, a non-ASCII
+# byte, and "/", the byte just below "0"
+MUTANTS = (b"2", b"\n", b"\r", b" ", b"\x80", b"/")
+
+
+@st.composite
+def mutated_rows_files(draw):
+    """A strictly laid-out rows file with n in 1..62 and m up to just past
+    a block edge, its instance, and the file with at most one byte
+    replaced: anywhere, in the header or first row, or in the last row."""
+    n = draw(st.integers(1, 62))
+    m = draw(st.one_of(st.integers(1, 40), st.integers(BLOCK_ROWS - 2, BLOCK_ROWS + 2)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    inst = SsatInstance(n, np.random.default_rng(seed).integers(0, 1 << n, size=m))
+    data = rows_bytes_reference(inst)
+    last = len(data) - 1
+    pos = draw(st.none() | st.integers(0, last) | st.integers(0, min(last, 30 + n))
+               | st.integers(max(0, last - n - 1), last))
+    if pos is not None:
+        data = data[:pos] + draw(st.sampled_from(MUTANTS)) + data[pos + 1:]
+    return inst, data
+
+
+class TestWordCodec:
+    """The word-at-a-time codec against the column-at-a-time one."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(mutated_rows_files())
+    def test_decode_matches_reference(self, tmp_path_factory, case):
+        inst, data = case
+        fast = _parse_rows_strict(data)
+        ref = parse_rows_strict_reference(data)
+        assert (fast is None) == (ref is None)
+        if fast is not None:
+            assert fast[0] == ref[0]
+            assert np.array_equal(fast[1], ref[1])
+        path = tmp_path_factory.mktemp("rows") / "inst.rows"
+        write_rows_file(path, inst)
+        assert path.read_bytes() == rows_bytes_reference(inst)
+
+    @pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 10) for m in range(1, 10)]
+                             + [(62, 1)])
+    def test_first_and_last_rows(self, tmp_path, n, m):
+        # the first row's leftmost word starts in the header, and the last
+        # row's rightmost word ends one byte short of the end of the file
+        rng = random.Random(n * 100 + m)
+        rows = [rng.getrandbits(n) for _ in range(m)]
+        inst = SsatInstance(n, rows)
+        path = tmp_path / "small.rows"
+        write_rows_file(path, inst)
+        data = path.read_bytes()
+        assert data == rows_bytes_reference(inst) == rows_text(n, rows).encode("ascii")
+        assert SsatInstance(*_parse_rows_strict(data)) == inst
+        body = data.index(b"\n") + 1
+        first = range(body, body + n + 1)
+        lastrow = range(len(data) - n - 1, len(data))
+        for pos in [*first, *lastrow]:
+            bad = data[:pos] + b"2" + data[pos + 1:]
+            assert _parse_rows_strict(bad) is None
+            assert parse_rows_strict_reference(bad) is None
+
+    def test_full_width_20_round_trip(self, tmp_path):
+        inst = build_with_solutions(20, {12345})
+        path = tmp_path / "n20.rows"
+        write_rows_file(path, inst)
+        assert path.read_bytes() == rows_bytes_reference(inst)
+        back = parse_rows_file(path)
+        assert back.m == (1 << 20) - 1
+        assert np.array_equal(back.rows, inst.rows)
 
 
 class TestCnfFormat:
