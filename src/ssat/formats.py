@@ -26,9 +26,11 @@ neither of which changes the satisfying set.
 
 from __future__ import annotations
 
+import io
 import os
+import stat
 from itertools import islice
-from typing import Iterator
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -63,22 +65,35 @@ _SHIFT_WORD = np.uint64(8)
 _DIGITS = np.frombuffer("".join(format(b, "08b") for b in range(256)).encode("ascii"),
                         dtype=np.uint8).reshape(256, 8)
 _WORDS = _DIGITS.view("<u8").ravel()
+# The longest header line the streamed decoder reads; a longer one, all
+# padding, goes to the line loop.
+_HEADER_MAX = 1 << 10
 
 
 def parse_rows_file(path: str | os.PathLike) -> SsatInstance:
     """Read a rows file. A strictly laid-out file (every line ends in
-    "\n", every row is exactly n digits) is decoded with numpy over blocks
-    of rows, eight digits per uint64 word read in place from the file's
-    bytes, with the 0/1 check folded into the same pass; any other file
-    goes through the line loop, which accepts the tolerated layouts and
-    names the line of any error."""
+    "\n", every row is exactly n digits) is streamed: after the header,
+    and once the file's size matches the m rows it promises, one reused
+    buffer takes BLOCK_ROWS rows at a time, and each block is decoded
+    eight digits per uint64 word, with the 0/1 check folded into the same
+    pass, straight into the int64 array the instance keeps. At n = 20 the
+    load peaks at about 9 bytes per row, 8 of them the codes. A pipe or
+    other non-regular file is read whole first and then decoded the same
+    way. Any other file goes through the line loop, which accepts the
+    tolerated layouts and names the line of any error."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    decoded = _parse_rows_strict(data)
-    if decoded is None:
-        return _parse_rows_lines(data.decode("ascii"))
-    del data  # the instance copies the codes: let the file's bytes go first
-    return SsatInstance(*decoded)
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode):
+            source, size = fh, info.st_size
+        else:  # no size to check up front
+            data = fh.read()
+            source, size = io.BytesIO(data), len(data)
+        inst = _parse_rows_stream(source, size)
+        if inst is not None:
+            return inst
+        source.seek(0)
+        data = source.read()
+    return _parse_rows_lines(data.decode("ascii"))
 
 
 def _parse_header(line: str) -> tuple[int, int]:
@@ -97,15 +112,16 @@ def _parse_header(line: str) -> tuple[int, int]:
     return n, m
 
 
-def _parse_rows_strict(data: bytes) -> tuple[int, np.ndarray] | None:
-    """n and the row codes of a file laid out exactly as write_rows_file
-    writes it: a valid one-line header, then m lines of n characters over
-    0/1, each closed by "\n" and nothing after them. None for any other
-    file, which the line loop then accepts or rejects."""
-    end = data.find(b"\n")
-    if end < 0 or not data[:end].isascii():
+def _parse_rows_stream(fh: BinaryIO, size: int) -> SsatInstance | None:
+    """The instance in fh, a rows file of `size` bytes read from its
+    start, when it is laid out exactly as write_rows_file writes it: a
+    valid one-line header, then m lines of n characters over 0/1, each
+    closed by "\n", and nothing after them. None for any other file,
+    which the line loop then accepts or rejects."""
+    line = fh.readline(_HEADER_MAX)
+    if not line.endswith(b"\n") or not line.isascii():
         return None
-    text = data[:end].decode("ascii")
+    text = line[:-1].decode("ascii")
     # str.splitlines also breaks at \r, \v, \f and \x1c-\x1e; a header
     # holding one of those is a different first line for the line loop
     if text.splitlines() != [text]:
@@ -114,38 +130,57 @@ def _parse_rows_strict(data: bytes) -> tuple[int, np.ndarray] | None:
         n, m = _parse_header(text)
     except ParseError:
         return None  # the line loop raises it, after the same checks as always
-    if len(data) - (end + 1) != m * (n + 1):
-        return None
     stride = n + 1
+    # checked before anything is sized from m
+    if size - len(line) != m * stride:
+        return None
+    codes = np.empty(m, dtype=np.int64)
+    # 8 spare bytes in front take the first row's leftmost word
+    buf = bytearray(8 + min(m, BLOCK_ROWS) * stride)
+    lines = memoryview(buf)[8:]
+    for start in range(0, m, BLOCK_ROWS):
+        out = codes[start:start + BLOCK_ROWS]
+        nbytes = out.size * stride
+        if fh.readinto(lines[:nbytes]) != nbytes or not _decode_rows(buf, n, out):
+            return None
+    if fh.read(1):  # the file grew after its size was taken
+        return None
+    return SsatInstance._adopt(n, codes)
+
+
+def _decode_rows(buf: bytearray, n: int, out: np.ndarray) -> bool:
+    """Decode the out.size lines of n digits and a "\n" that start at
+    byte 8 of buf into out, an int64 array. False, with out partly
+    written, if some line is not n characters over 0/1 closed by "\n"."""
+    count = out.size
+    stride = n + 1
+    if (np.ndarray(count, np.uint8, buf, 8 + n, (stride,)) != ord("\n")).any():
+        return False
+    codes = out.view(np.uint64)
     words = -(-n // 8)
     # Word j of a row is the 8 bytes that end 8j bytes before the row's
     # "\n": bits 8j .. 8j + 7 of its code. The leftmost word starts up to 7
-    # bytes before its row, in the row above or in the header, which is
-    # never shorter than "ssat 1 1\n"; no word reads past the last "\n".
-    cols = [np.ndarray(m, "<u8", data, end + 1 + n - 8 * (j + 1), (stride,))
-            for j in range(words)]
-    newlines = np.ndarray(m, np.uint8, data, end + 1 + n, (stride,))
-    # the leftmost word's digit bytes
+    # bytes before its row, in the row above or, for the first row, in the
+    # 8 bytes in front of it, and lead masks it to its digit bytes; no word
+    # reads past the last "\n". The leftmost word is decoded in out
+    # itself, and each further one shifted in from a temporary.
     lead = np.uint64((1 << 64) - (1 << 8 * (8 * words - n)))
-    codes = np.zeros(m, dtype=np.uint64)
-    # blocks of rows keep each word's temporaries inside the cache
-    for start in range(0, m, BLOCK_ROWS):
-        rows = slice(start, start + BLOCK_ROWS)
-        if (newlines[rows] != ord("\n")).any():
-            return None
-        out = codes[rows]
-        for j in reversed(range(words)):
-            w = cols[j][rows] ^ _ZEROS
-            if j == words - 1:
-                w &= lead
-            # "0" and "1" are the only bytes that xor "0" leaves below 2
-            if np.bitwise_or.reduce(w) & _HIGH_BITS:
-                return None
-            w *= _GATHER
-            w >>= _SHIFT
-            out <<= _SHIFT_WORD
-            out |= w
-    return n, codes.view(np.int64)
+    for j in reversed(range(words)):
+        col = np.ndarray(count, "<u8", buf, 8 + n - 8 * (j + 1), (stride,))
+        if j == words - 1:
+            w = np.bitwise_xor(col, _ZEROS, out=codes)
+            w &= lead
+        else:
+            w = col ^ _ZEROS
+        # "0" and "1" are the only bytes that xor "0" leaves below 2
+        if np.bitwise_or.reduce(w) & _HIGH_BITS:
+            return False
+        w *= _GATHER
+        w >>= _SHIFT
+        if j < words - 1:
+            codes <<= _SHIFT_WORD
+            codes |= w
+    return True
 
 
 def _parse_rows_lines(text: str) -> SsatInstance:
@@ -167,7 +202,7 @@ def _parse_rows_lines(text: str) -> SsatInstance:
         if len(digits) != n or digits.strip("01"):
             raise ParseError(f"expected {n} characters over 0/1, got {line!r}", lineno)
         rows.append(int(digits, 2))
-    return SsatInstance(n, np.array(rows, dtype=np.int64))
+    return SsatInstance._adopt(n, np.array(rows, dtype=np.int64))
 
 
 def write_rows_file(path: str | os.PathLike, inst: SsatInstance) -> None:
@@ -287,7 +322,7 @@ def parse_cnf_file(
         raise ParseError("every clause is a tautology; no constraint is left", last_line)
 
     if strict:
-        return SsatInstance(n, np.array(clauses, dtype=np.int64))
+        return SsatInstance._adopt(n, np.array(clauses, dtype=np.int64))
     sat = SatInstance(n, tuple(ternary_from_clause(c, n) for c in clauses))
     if mode == "ternary":
         return sat

@@ -61,7 +61,9 @@ def build_with_solutions(n: int, solutions: Iterable[int]) -> SsatInstance:
     non-solution, namely its complement, in ascending row order.
 
     m = 2^n - |solutions|. The full solution set is rejected because it
-    would need zero rows, and an instance must have at least one.
+    would need zero rows, and an instance must have at least one. The
+    rows come from a one-byte keep-mask per code and the instance keeps
+    them without a copy, so the build peaks at about 9 bytes per code.
     """
     if not 1 <= n <= MAX_TABLE_WIDTH:
         raise ValueError(f"builders materialize 2^n rows; n must be in [1, {MAX_TABLE_WIDTH}]")
@@ -72,9 +74,9 @@ def build_with_solutions(n: int, solutions: Iterable[int]) -> SsatInstance:
             raise ValueError(f"solution {s} does not fit width {n}")
     if len(chosen) == size:
         raise ValueError("the full assignment set would leave zero rows")
-    blocked = np.array(sorted(complement(s, n) for s in chosen), dtype=np.int64)
-    rows = np.delete(np.arange(size, dtype=np.int64), blocked)
-    return SsatInstance(n, rows)
+    keep = np.ones(size, dtype=np.bool_)
+    keep[np.fromiter((complement(s, n) for s in chosen), np.int64, len(chosen))] = False
+    return SsatInstance._adopt(n, np.flatnonzero(keep))
 
 
 def duplicate_and_shuffle(inst: SsatInstance, duplicates: int, seed: Seed) -> SsatInstance:
@@ -88,9 +90,7 @@ def duplicate_and_shuffle(inst: SsatInstance, duplicates: int, seed: Seed) -> Ss
     rows = inst.rows.tolist()
     rows += [rows[rng.randrange(len(rows))] for _ in range(duplicates)]
     rng.shuffle(rows)
-    # the codes are known int64s; an array spares the constructor from
-    # inferring a dtype from a list
-    return SsatInstance(inst.n, np.array(rows, dtype=np.int64))
+    return SsatInstance._adopt(inst.n, np.array(rows, dtype=np.int64))
 
 
 def extreme_instance(spec: ExtremeSpec) -> SsatInstance:

@@ -93,38 +93,65 @@ def untranslate(code: int, n: int) -> list[int]:
     return [(i + 1) if (code >> i) & 1 else -(i + 1) for i in range(n - 1, -1, -1)]
 
 
+def _checked_rows(n: int, rows) -> np.ndarray:
+    """rows as an integer array, after every check an instance makes of
+    its width and codes."""
+    if not 1 <= n <= MAX_WIDTH:
+        raise ValueError(f"variable count must be in [1, {MAX_WIDTH}], got {n}")
+    given = rows
+    rows = np.asarray(rows)
+    if rows.ndim != 1:
+        raise ValueError("rows must be a flat sequence of integer codes")
+    if rows.size == 0:
+        raise ValueError("an instance needs at least one row")
+    if rows.dtype.kind not in "iu":
+        # numpy stores Python ints that fit no 64-bit dtype as float or
+        # object; only this rejection path reads the elements
+        if rows.dtype.kind in "fO" and all(
+            isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+            for v in np.asarray(given, dtype=object)
+        ):
+            raise WidthMismatchError(f"rows must lie in [0, 2^{n} - 1]")
+        raise ValueError(
+            f"rows must be a flat sequence of integer codes, got dtype {rows.dtype}")
+    # one pass: a code outside [0, 2^n - 1] sets a bit at n or above, and a
+    # negative one the sign bit, so the or of all codes shifted right by n
+    # is nonzero exactly when some code is out of range
+    if int(np.bitwise_or.reduce(rows)) >> n:
+        raise WidthMismatchError(f"rows must lie in [0, 2^{n} - 1]")
+    return rows
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class SsatInstance:
     """An immutable conjunction of fixed-width rows.
 
     Rows are kept exactly as given: duplicates and arbitrary order are
-    allowed and preserved, so m may exceed 2^n.
+    allowed and preserved, so m may exceed 2^n. The constructor keeps a
+    read-only int64 copy of the codes, whatever array the caller holds.
+    The package's own parsers and builders hand over the int64 array they
+    have just made through _adopt, which makes the same checks but keeps
+    that array instead of copying it.
     """
 
     n: int
     rows: np.ndarray
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_WIDTH:
-            raise ValueError(f"variable count must be in [1, {MAX_WIDTH}], got {self.n}")
-        rows = np.asarray(self.rows)
-        if rows.ndim != 1:
-            raise ValueError("rows must be a flat sequence of integer codes")
-        if rows.size == 0:
-            raise ValueError("an instance needs at least one row")
-        if rows.dtype.kind not in "iu":
-            # numpy stores Python ints that fit no 64-bit dtype as float or
-            # object; only this rejection path reads the elements
-            if rows.dtype.kind in "fO" and all(
-                isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-                for v in np.asarray(self.rows, dtype=object)
-            ):
-                raise WidthMismatchError(f"rows must lie in [0, 2^{self.n} - 1]")
-            raise ValueError(
-                f"rows must be a flat sequence of integer codes, got dtype {rows.dtype}")
-        if int(rows.min()) < 0 or int(rows.max()) >> self.n:
-            raise WidthMismatchError(f"rows must lie in [0, 2^{self.n} - 1]")
-        rows = rows.astype(np.int64)  # a private copy, whatever the caller holds
+        # a private copy, whatever the caller holds
+        self._keep(_checked_rows(self.n, self.rows).astype(np.int64))
+
+    @classmethod
+    def _adopt(cls, n: int, rows: np.ndarray) -> "SsatInstance":
+        """The instance over rows, an array the caller has just made and
+        holds no other reference to: checked as the constructor checks,
+        then frozen in place rather than copied when it is int64."""
+        inst = cls.__new__(cls)
+        object.__setattr__(inst, "n", n)
+        inst._keep(_checked_rows(n, rows).astype(np.int64, copy=False))
+        return inst
+
+    def _keep(self, rows: np.ndarray) -> None:
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
 
@@ -323,4 +350,4 @@ def expand_to_ssat(sat: SatInstance, row_cap: int = DEFAULT_EXPANSION_CAP) -> Ss
             for t, j in enumerate(absent):
                 digits[j] = (pattern >> (len(absent) - 1 - t)) & 1
             rows.append(ternary_row_code(digits))
-    return SsatInstance(sat.n, np.array(rows, dtype=np.int64))
+    return SsatInstance._adopt(sat.n, np.array(rows, dtype=np.int64))

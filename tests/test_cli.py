@@ -4,6 +4,7 @@ import csv
 import json
 import shutil
 import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -160,6 +161,22 @@ class TestSolve:
         with pytest.raises(SystemExit) as err:
             main(["solve", "--input", worked_file, "--algorithm", "nosuch"])
         assert err.value.code == 1
+
+
+class TestParserReuse:
+    def test_calls_in_a_row_share_no_state(self, blocked_file, tmp_path, capsys, monkeypatch):
+        # main parses with one parser a process; no option of one call
+        # may reach the next
+        monkeypatch.setenv("SSAT_SEED", "42")
+        solve = ["solve", "--input", blocked_file, "--algorithm", "outer-random"]
+        assert main(solve + ["--seed", "5"]) == 20
+        assert last_json(capsys)["seed"] == 5
+        assert main(solve) == 20
+        assert last_json(capsys)["seed"] == 42
+        out = tmp_path / "again.rows"
+        assert main(["gen", "--n", "3", "--solutions", "none", "--out", str(out)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert out.read_bytes() == Path(blocked_file).read_bytes()
 
 
 class TestGen:

@@ -1,6 +1,10 @@
 """File formats: rows files and the CNF subset."""
 
+import io
+import os
 import random
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +24,7 @@ from ssat import (
     write_rows_file,
 )
 from ssat.errors import BlowupLimitError
-from ssat.formats import CNF_MODES, _parse_rows_lines, _parse_rows_strict
+from ssat.formats import CNF_MODES, _parse_rows_lines, _parse_rows_stream
 from ssat.model import ABSENT, BLOCK_ROWS
 
 from reference import parse_rows_strict_reference, rows_bytes_reference
@@ -32,6 +36,18 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def strict(data: bytes) -> SsatInstance | None:
+    """The streamed decoder's instance for a file's bytes, or None where
+    parse_rows_file hands the file to the line loop."""
+    return _parse_rows_stream(io.BytesIO(data), len(data))
+
+
+def strict_file(path) -> SsatInstance | None:
+    """strict for a file on disk, read through its own handle and size."""
+    with open(path, "rb") as fh:
+        return _parse_rows_stream(fh, os.fstat(fh.fileno()).st_size)
 
 
 class TestRowsFormat:
@@ -112,7 +128,7 @@ class TestRowsCodec:
             rows = [rng.getrandbits(n) for _ in range(rng.randint(1, 300))]
             rows[rng.randrange(len(rows))] = (1 << n) - 1
             text = rows_text(n, rows)
-            fast = SsatInstance(*_parse_rows_strict(text.encode("ascii")))
+            fast = strict(text.encode("ascii"))
             assert fast == _parse_rows_lines(text)
             assert fast.rows.tolist() == rows
             path = write(tmp_path, f"d{i}.rows", text)
@@ -135,7 +151,7 @@ class TestRowsCodec:
         lines = rows_text(self.BIG_N, big_rows).splitlines(keepends=True)
         lines[5] = lines[5][:-1] + "1"
         data = "".join(lines).encode("ascii")
-        assert _parse_rows_strict(data) is None
+        assert strict(data) is None
         path = tmp_path / "merged.rows"
         path.write_bytes(data)
         with pytest.raises(ParseError, match=f"file has {self.BIG_M - 1}"):
@@ -151,7 +167,7 @@ class TestRowsCodec:
             "no-final-newline": rows_text(self.BIG_N, big_rows)[:-1],
         }[variant]
         data = text.encode("ascii")
-        assert _parse_rows_strict(data) is None  # the line loop reads these
+        assert strict(data) is None  # the line loop reads these
         path = tmp_path / "v.rows"
         path.write_bytes(data)
         assert parse_rows_file(path).rows.tolist() == big_rows
@@ -160,7 +176,7 @@ class TestRowsCodec:
         # "\r" splits "ssat 2\r2" into two lines for the line loop
         path = tmp_path / "cr.rows"
         path.write_bytes(b"ssat 2\r2\n01\n11\n")
-        assert _parse_rows_strict(path.read_bytes()) is None
+        assert strict_file(path) is None
         with pytest.raises(ParseError) as err:
             parse_rows_file(path)
         assert err.value.line == 1
@@ -216,13 +232,15 @@ class TestWordCodec:
     @given(mutated_rows_files())
     def test_decode_matches_reference(self, tmp_path_factory, case):
         inst, data = case
-        fast = _parse_rows_strict(data)
+        path = tmp_path_factory.mktemp("rows") / "inst.rows"
+        path.write_bytes(data)
+        fast = strict_file(path)
         ref = parse_rows_strict_reference(data)
         assert (fast is None) == (ref is None)
         if fast is not None:
-            assert fast[0] == ref[0]
-            assert np.array_equal(fast[1], ref[1])
-        path = tmp_path_factory.mktemp("rows") / "inst.rows"
+            assert fast.n == ref[0]
+            assert np.array_equal(fast.rows, ref[1])
+            assert parse_rows_file(path) == fast
         write_rows_file(path, inst)
         assert path.read_bytes() == rows_bytes_reference(inst)
 
@@ -238,13 +256,13 @@ class TestWordCodec:
         write_rows_file(path, inst)
         data = path.read_bytes()
         assert data == rows_bytes_reference(inst) == rows_text(n, rows).encode("ascii")
-        assert SsatInstance(*_parse_rows_strict(data)) == inst
+        assert strict_file(path) == inst
         body = data.index(b"\n") + 1
         first = range(body, body + n + 1)
         lastrow = range(len(data) - n - 1, len(data))
         for pos in [*first, *lastrow]:
             bad = data[:pos] + b"2" + data[pos + 1:]
-            assert _parse_rows_strict(bad) is None
+            assert strict(bad) is None
             assert parse_rows_strict_reference(bad) is None
 
     def test_full_width_20_round_trip(self, tmp_path):
@@ -255,6 +273,81 @@ class TestWordCodec:
         back = parse_rows_file(path)
         assert back.m == (1 << 20) - 1
         assert np.array_equal(back.rows, inst.rows)
+
+    def test_fifo_parses_like_its_file(self, tmp_path):
+        # a pipe has no size up front; its bytes are read whole and then
+        # decoded as a file's are, and a bad one still names its line
+        inst = duplicate_and_shuffle(build_with_solutions(9, {3}), 2 * BLOCK_ROWS, seed=5)
+        good = tmp_path / "good.rows"
+        write_rows_file(good, inst)
+        data = good.read_bytes()
+        bad = bytearray(data)
+        bad[data.index(b"\n") + 1 + 40000 * 10] = ord("2")  # row 40001, on line 40002
+        for payload in (data, bytes(bad)):
+            fifo = tmp_path / "pipe.rows"
+            os.mkfifo(fifo)
+            writer = threading.Thread(target=fifo.write_bytes, args=(payload,), daemon=True)
+            writer.start()
+            try:
+                if payload is data:
+                    assert parse_rows_file(fifo) == inst
+                else:
+                    with pytest.raises(ParseError) as err:
+                        parse_rows_file(fifo)
+                    assert err.value.line == 40002
+            finally:
+                writer.join(timeout=30)
+                fifo.unlink()
+            assert not writer.is_alive()
+
+    def test_trailing_byte_after_the_last_row(self, tmp_path):
+        data = rows_text(3, [5, 2]).encode("ascii")
+        path = tmp_path / "t.rows"
+        path.write_bytes(data + b"0")
+        assert strict_file(path) is None
+        with pytest.raises(ParseError, match="header promises 2 rows, file has 3") as err:
+            parse_rows_file(path)
+        assert err.value.line == 4
+        # a byte that appears after the size was taken is caught too
+        assert _parse_rows_stream(io.BytesIO(data + b"0"), len(data)) is None
+
+    def test_file_shorter_than_its_size(self):
+        # a file that shrank after its size was taken: the last block's
+        # read comes up one row short, and the buffer still holds a whole
+        # valid row from the block before at that place
+        data = rows_text(3, [1] * (BLOCK_ROWS + 2)).encode("ascii")
+        assert strict(data) is not None
+        assert _parse_rows_stream(io.BytesIO(data[:-4]), len(data)) is None
+
+    def test_header_promising_more_rows_than_the_file_holds(self, tmp_path):
+        # nothing is sized from the header's m before the file's size
+        # agrees with it
+        path = write(tmp_path, "huge.rows", "ssat 20 4000000000000\n" + "01" * 10 + "\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="header promises 4000000000000 rows") as err:
+                parse_rows_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.line == 2
+        assert peak < 1 << 20
+
+    def test_parse_peak_per_row(self, tmp_path):
+        # the codes the instance keeps (8 bytes a row), one block buffer
+        # and a block's temporaries; neither the file's bytes nor a second
+        # array of codes is ever held whole
+        inst = build_with_solutions(20, {12345})
+        path = tmp_path / "n20.rows"
+        write_rows_file(path, inst)
+        del inst
+        tracemalloc.start()
+        try:
+            back = parse_rows_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / back.m <= 10
 
 
 class TestCnfFormat:

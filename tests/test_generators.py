@@ -2,8 +2,10 @@
 
 import math
 import random
+import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from ssat import (
@@ -70,6 +72,25 @@ class TestBuildWithSolutions:
     def test_rejects_oversized_width(self):
         with pytest.raises(ValueError):
             build_with_solutions(31, set())
+
+    def test_rows_are_int64_and_ascending(self):
+        inst = build_with_solutions(10, {0, 1023, 77})
+        assert inst.rows.dtype == np.int64
+        assert not inst.rows.flags.writeable
+        assert bool(np.all(np.diff(inst.rows) > 0))
+        assert inst.m == 1021
+
+    def test_peak_per_code(self):
+        # a bool keep-mask (1 byte a code) and the rows it yields (8), with
+        # no range array and no copy of it
+        tracemalloc.start()
+        try:
+            inst = build_with_solutions(20, ())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert inst.m == 1 << 20
+        assert peak / (1 << 20) <= 9.5
 
 
 class TestDuplicateAndShuffle:

@@ -152,6 +152,40 @@ class TestSsatInstance:
         rows[0] = 3
         assert inst.rows.tolist() == [1, 2]
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint16, np.uint64])
+    @pytest.mark.parametrize("bad", [-1, 1 << 3])
+    def test_rejects_out_of_range_codes_of_any_dtype(self, dtype, bad):
+        # an unsigned dtype wraps -1 to its all-ones code, out of range too
+        rows = np.array([0, bad], dtype=np.int64).astype(dtype)
+        with pytest.raises(WidthMismatchError):
+            SsatInstance(3, rows)
+        with pytest.raises(WidthMismatchError):
+            SsatInstance._adopt(3, rows)
+
+    def test_adopt_keeps_the_array_it_is_handed(self):
+        rows = np.array([1, 2], dtype=np.int64)
+        inst = SsatInstance._adopt(2, rows)
+        assert inst.rows is rows
+        assert not rows.flags.writeable
+        assert inst == SsatInstance(2, [1, 2])
+
+    @pytest.mark.parametrize("n, rows, error", [
+        (0, np.array([0]), ValueError),
+        (2, np.array([], dtype=np.int64), ValueError),
+        (2, np.array([[1]]), ValueError),
+        (2, np.array([1.0]), ValueError),
+        (2, np.array([4]), WidthMismatchError),
+    ])
+    def test_adopt_checks_as_the_constructor_does(self, n, rows, error):
+        with pytest.raises(error):
+            SsatInstance._adopt(n, rows)
+
+    def test_adopt_copies_a_non_int64_array(self):
+        rows = np.array([3, 0], dtype=np.uint8)
+        inst = SsatInstance._adopt(2, rows)
+        assert inst.rows.dtype == np.int64 and inst.rows.tolist() == [3, 0]
+        assert rows.flags.writeable
+
     def test_build_index_answers_like_lazy_lookup(self):
         for n in (3, 40):
             inst = SsatInstance(n, [5, 0, 5])
