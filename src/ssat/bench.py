@@ -18,11 +18,13 @@ import csv
 import os
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 from .generators import ExtremeSpec, build_with_solutions, extreme_instance
 from .solvers import (
+    UNDETERMINED,
+    SolverReport,
     binary_search_solve,
     inner_board_solve,
     inner_witness_solve,
@@ -35,9 +37,9 @@ from .solvers import (
 class Solver:
     """What one algorithm name runs, and what the run touches.
 
-    run(inst, seed, dump_board) looks its solver function up in this
-    module's globals at call time, so a function patched onto ssat.bench
-    is the one every caller runs."""
+    run(inst, seed, dump_board) returns a SolverReport. It looks its
+    solver function up in this module's globals at call time, so a
+    function patched onto ssat.bench is the one every caller runs."""
     run: Callable
     evaluates: bool = False  # reads the membership index
     seeded: bool = False  # consumes the seed
@@ -45,8 +47,13 @@ class Solver:
     dumps_board: bool = False  # writes the pair table to dump_board
 
 
+# The quick entry's report when the row count cannot decide (m >= 2^n).
+_QUICK_UNDETERMINED = SolverReport(
+    algorithm="quick", verdict=UNDETERMINED, iterations=0, evaluations=0)
+
 SOLVERS = {
-    "quick": Solver(lambda inst, seed, dump: quick_existence(inst.n, inst.m)),
+    "quick": Solver(lambda inst, seed, dump:
+                    quick_existence(inst.n, inst.m) or _QUICK_UNDETERMINED),
     "inner-board": Solver(lambda inst, seed, dump: inner_board_solve(inst, dump),
                           dumps_board=True),
     "inner-witness": Solver(lambda inst, seed, dump: inner_witness_solve(inst, dump),
@@ -58,12 +65,6 @@ SOLVERS = {
 }
 ALGORITHMS = tuple(SOLVERS)
 SCENARIOS = ("unique", "none")
-
-CSV_FIELDS = ("algorithm", "n", "m", "r", "seed", "verdict",
-              "iterations", "evaluations", "wall_ns")
-
-# Verdict recorded when the quick existence test cannot answer (m >= 2^n).
-UNDETERMINED = "UNDETERMINED"
 
 
 @dataclass(frozen=True)
@@ -80,6 +81,9 @@ class BenchRecord:
 
     def as_row(self) -> list:
         return [getattr(self, f) for f in CSV_FIELDS]
+
+
+CSV_FIELDS = tuple(f.name for f in fields(BenchRecord))
 
 
 def run_bench(
@@ -130,17 +134,11 @@ def run_bench(
             t0 = time.perf_counter_ns()
             report = solver.run(run_inst, seed_t, None)
             wall_ns = time.perf_counter_ns() - t0
-            if report is None:
-                verdict, iterations, evaluations = UNDETERMINED, 0, 0
-            else:
-                verdict, iterations, evaluations = (
-                    report.verdict, report.iterations, report.evaluations,
-                )
             records.append(BenchRecord(
                 algorithm=algorithm, n=n, m=run_inst.m,
                 r=duplicates if run_inst is inst else 0,
-                seed=seed_t, verdict=verdict, iterations=iterations,
-                evaluations=evaluations, wall_ns=wall_ns,
+                seed=seed_t, verdict=report.verdict, iterations=report.iterations,
+                evaluations=report.evaluations, wall_ns=wall_ns,
             ))
     return records
 

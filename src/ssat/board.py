@@ -79,13 +79,16 @@ class PairTable:
     exactly when inverse_address(a), the one code whose address it is, has
     been inserted. ct tracks the number of occupied cells."""
 
-    __slots__ = ("n", "cells", "ct")
+    __slots__ = ("n", "cells", "ct", "_cell")
 
     def __init__(self, n: int):
         if not 1 <= n <= MAX_TABLE_WIDTH:
             raise ValueError(f"table width must be in [1, {MAX_TABLE_WIDTH}], got {n}")
         self.n = n
         self.cells = np.zeros(1 << n, dtype=np.bool_)
+        # the scalar reads and writes of insert and insert_pair: a
+        # memoryview item costs less than numpy scalar indexing
+        self._cell = memoryview(self.cells)
         self.ct = 0
 
     @property
@@ -100,22 +103,25 @@ class PairTable:
         """Occupy k's cell. False (and no change) if the cell is already
         occupied, which can only mean a duplicate row."""
         a = address_of(k, self.n)
-        if self.cells[a]:
+        cell = self._cell
+        if cell[a]:
             return False
-        self.cells[a] = True
+        cell[a] = True
         self.ct += 1
         return True
 
     def insert_pair(self, k: int) -> bool:
         """Occupy the cells of k and its complement (the two cells are
-        adjacent). False if k's cell is occupied; a cell pair is always
-        filled or emptied as a unit, so ct moves in steps of 2."""
+        adjacent). False (and no change) if k's cell is occupied. ct counts
+        only the cells newly set: 2 under insert_pair alone, 1 when insert
+        has already occupied the complement's cell."""
         a = address_of(k, self.n)
-        if self.cells[a]:
+        cell = self._cell
+        if cell[a]:
             return False
-        self.cells[a] = True
-        self.cells[a ^ 1] = True  # the other cell of the pair is complement(k)'s
-        self.ct += 2
+        b = a ^ 1  # the other cell of the pair is complement(k)'s
+        self.ct += 2 - cell[b]
+        cell[a] = cell[b] = True
         return True
 
     def fill(self, codes) -> int:

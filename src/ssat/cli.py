@@ -96,20 +96,14 @@ def _cmd_solve(args) -> int:
     if solver.seeded:
         seed = args.seed if args.seed is not None else _env_seed()
     report = solver.run(inst, seed, args.dump_board)
-    if report is None:
-        print(json.dumps({
-            "algorithm": "quick", "verdict": "UNDETERMINED",
-            "iterations": 0, "evaluations": 0,
-        }))
-        print("quick existence test cannot decide m >= 2^n; "
-              "rerun with --witness or another algorithm", file=sys.stderr)
-        return 1
-
     _print_report(report, inst.n)
     if report.verdict in (SAT, SAT_EXISTS):
         return 10
     if report.verdict == UNSAT:
         return 20
+    # UNDETERMINED, which only the quick test reports
+    print("quick existence test cannot decide m >= 2^n; "
+          "rerun with --witness or another algorithm", file=sys.stderr)
     return 1
 
 
@@ -154,34 +148,33 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_prob(args) -> int:
+    if args.mode == "poly":
+        header, xs = ["k", "prob_in_c", "prob_s_c"], range(1, args.f_max + 1)
+        probs = lambda x: prob_poly_subset(args.n, x)
+    else:
+        prob = prob_ss_inner if args.mode == "inner" else prob_ss_outer
+        header, xs = ["f", "probability"], range(args.f_max + 1)
+        probs = lambda x: (prob(args.n, x),)
     skipped = 0
     with open(args.out, "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh)
-        if args.mode == "poly":
-            writer.writerow(["k", "prob_in_c", "prob_s_c"])
-            for k in range(1, args.f_max + 1):
-                try:
-                    in_c, s_c = prob_poly_subset(args.n, k)
-                except (SsatError, OverflowError):
-                    skipped += 1
-                    continue
-                writer.writerow([k, repr(in_c), repr(s_c)])
-        else:
-            fn = prob_ss_inner if args.mode == "inner" else prob_ss_outer
-            writer.writerow(["f", "probability"])
-            for f in range(args.f_max + 1):
-                try:
-                    p = fn(args.n, f)
-                except SsatError:
-                    skipped += 1
-                    continue
-                writer.writerow([f, repr(p)])
+        writer.writerow(header)
+        for x in xs:
+            try:
+                row = probs(x)
+            except (SsatError, OverflowError):
+                skipped += 1
+                continue
+            writer.writerow([x, *map(repr, row)])
     if skipped:
         print(f"warning: skipped {skipped} out-of-domain rows", file=sys.stderr)
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once a process: building it costs more
+    than a small solve, and parse_args keeps nothing between calls."""
     parser = _Parser(prog="ssat", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -235,15 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """build_parser's parser, built once a process: building it costs more
-    than a small solve, and parse_args keeps nothing between calls."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (SsatError, OSError, ValueError) as exc:

@@ -196,13 +196,15 @@ def _parse_rows_lines(text: str) -> SsatInstance:
     if len(lines) - 1 != m:
         raise ParseError(f"header promises {m} rows, file has {len(lines) - 1}", len(lines))
 
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        digits = line.strip()
-        if len(digits) != n or digits.strip("01"):
-            raise ParseError(f"expected {n} characters over 0/1, got {line!r}", lineno)
-        rows.append(int(digits, 2))
-    return SsatInstance._adopt(n, np.array(rows, dtype=np.int64))
+    def codes():
+        for lineno, line in enumerate(islice(lines, 1, None), start=2):
+            digits = line.strip()
+            if len(digits) != n or digits.strip("01"):
+                raise ParseError(f"expected {n} characters over 0/1, got {line!r}", lineno)
+            yield int(digits, 2)
+
+    # straight into the int64 array, with no list of Python ints between
+    return SsatInstance._adopt(n, np.fromiter(codes(), dtype=np.int64, count=m))
 
 
 def write_rows_file(path: str | os.PathLike, inst: SsatInstance) -> None:

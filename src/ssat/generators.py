@@ -117,7 +117,8 @@ def prob_ss_inner(n: int, f: int) -> float:
     size = _checked_size(n)
     if f < 0 or 2 * f >= size:
         raise DomainError(f"need 0 <= 2f < 2^{n}, got f = {f}")
-    return 1.0 / ((size - 2 * f) * size)
+    # int by int: exact, and 0.0 where the float 1.0 / (2^n)^2 would overflow
+    return 1 / ((size - 2 * f) * size)
 
 
 def prob_ss_outer(n: int, f: int) -> float:
@@ -126,7 +127,7 @@ def prob_ss_outer(n: int, f: int) -> float:
     size = _checked_size(n)
     if f < 0 or f >= size:
         raise DomainError(f"need 0 <= f < 2^{n}, got f = {f}")
-    return 1.0 / ((size - f) * size)
+    return 1 / ((size - f) * size)
 
 
 def prob_poly_subset(n: int, k: int) -> tuple[float, float]:

@@ -47,8 +47,9 @@ DEFAULT_EXPANSION_CAP = 1 << 20
 MAX_TABLE_WIDTH = 30
 
 # Rows per block wherever numpy walks rows or cells in blocks (the rows-file
-# codec, PairTable.fill and dump): small enough that a block's temporaries
-# stay in cache and bounded whatever m or 2^n is.
+# codec, PairTable.fill and dump), and the cap on the outer walk's chunks of
+# candidates: small enough that a block's temporaries stay in cache and
+# bounded whatever m or 2^n is.
 BLOCK_ROWS = 1 << 15
 
 TernaryClause = tuple[int, ...]
@@ -161,38 +162,31 @@ class SsatInstance:
 
     def has_row(self, code: int) -> bool:
         """Membership of a code in the row multiset; False for any code
-        outside [0, 2^n - 1].
-
-        Up to MAX_TABLE_WIDTH the answer is one byte of a 2^n-entry
-        presence array, built on first use. Wider instances, where no such
-        array fits, binary-search the sorted rows.
-        """
+        outside [0, 2^n - 1]. Reads _index, built on first use."""
         n = self.n
         if code < 0 or code >> n:
             return False
+        index = self._index
         if n <= MAX_TABLE_WIDTH:
-            return self._member_present[code]
-        arr = self._member_sorted
-        i = int(np.searchsorted(arr, code))
-        return i < arr.size and int(arr[i]) == code
+            return index[code]
+        i = int(np.searchsorted(index, code))
+        return i < index.size and int(index[i]) == code
 
     def build_index(self) -> None:
         """Build the membership index has_row reads, if not built yet, so
         that a timed caller does not pay for it on its first lookup."""
+        self._index
+
+    @cached_property
+    def _index(self) -> memoryview | np.ndarray:
+        """The membership index: up to MAX_TABLE_WIDTH a 2^n-entry bool
+        presence array, as a memoryview because an item read of one costs
+        less than numpy scalar indexing; beyond it, where no such array
+        fits, the rows in ascending order."""
         if self.n <= MAX_TABLE_WIDTH:
-            self._member_present
-        else:
-            self._member_sorted
-
-    @cached_property
-    def _member_present(self) -> memoryview:
-        present = np.zeros(1 << self.n, dtype=np.bool_)
-        present[self.rows] = True
-        # a memoryview item lookup costs less than numpy scalar indexing
-        return memoryview(present)
-
-    @cached_property
-    def _member_sorted(self) -> np.ndarray:
+            present = np.zeros(1 << self.n, dtype=np.bool_)
+            present[self.rows] = True
+            return memoryview(present)
         rows = self.rows
         if rows.size > 1 and not bool(np.all(rows[1:] >= rows[:-1])):
             rows = np.sort(rows)
@@ -228,10 +222,10 @@ def evaluate_many(inst: SsatInstance, xs) -> np.ndarray:
     """evaluate over a batch: a uint8 array holding evaluate(inst, x) for
     each x of xs, in order.
 
-    Reads the index has_row reads: the presence bitmap up to
-    MAX_TABLE_WIDTH, a searchsorted over the sorted rows beyond it. An
-    assignment outside [0, 2^n - 1] raises evaluate's WidthMismatchError,
-    for the first such x.
+    Reads the index has_row reads: the presence bitmap as one gather,
+    the sorted rows as one searchsorted. An assignment outside
+    [0, 2^n - 1] raises evaluate's WidthMismatchError, for the first
+    such x.
     """
     n = inst.n
     try:
@@ -244,12 +238,12 @@ def evaluate_many(inst: SsatInstance, xs) -> np.ndarray:
     if outside.any():
         _check_assignment(n, int(xs[outside.argmax()]))
     codes = ((1 << n) - 1) ^ xs
+    index = inst._index
     if n <= MAX_TABLE_WIDTH:
-        blocked = np.frombuffer(inst._member_present, dtype=np.bool_)[codes]
+        blocked = np.frombuffer(index, dtype=np.bool_)[codes]
     else:
-        rows = inst._member_sorted
-        at = np.searchsorted(rows, codes).clip(max=rows.size - 1)
-        blocked = rows[at] == codes
+        at = np.searchsorted(index, codes).clip(max=index.size - 1)
+        blocked = index[at] == codes
     return (~blocked).view(np.uint8)
 
 

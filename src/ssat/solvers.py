@@ -45,6 +45,8 @@ from .model import BLOCK_ROWS, SsatInstance, complement, evaluate, evaluate_many
 SAT = "SAT"
 SAT_EXISTS = "SAT_EXISTS"
 UNSAT = "UNSAT"
+# The solver table's quick entry when the row count cannot decide (m >= 2^n).
+UNDETERMINED = "UNDETERMINED"
 
 
 @dataclass(frozen=True)
@@ -52,9 +54,9 @@ class SolverReport:
     """Outcome of one solver run.
 
     verdict is SAT (witness present and verified), SAT_EXISTS (existence
-    argument only, no witness), or UNSAT. evidence is a short tag naming
-    what backs the verdict. pair_insertions is filled by the inner
-    witness solver only.
+    argument only, no witness), UNSAT, or UNDETERMINED (the quick test
+    could not decide). evidence is a short tag naming what backs the
+    verdict. pair_insertions is filled by the inner witness solver only.
     """
 
     algorithm: str
@@ -137,13 +139,15 @@ def inner_witness_solve(
     failure. A full table is a proof of UNSAT. If the rows run out first,
     any empty cell's code is unblocked, and that gap is verified and
     returned as the witness.
+
+    Each row tried is one evaluate call, so evaluations is iterations,
+    plus one when the gap is checked.
     """
     table = PairTable(inst.n)
     iterations = 0
-    evaluations = 0
     pair_insertions = 0
 
-    def report(verdict, witness=None, evidence=None):
+    def report(verdict, evaluations, witness=None, evidence=None):
         if dump_board is not None:
             table.dump(dump_board)
         return SolverReport(
@@ -154,21 +158,19 @@ def inner_witness_solve(
 
     for k in inst.rows.tolist():
         iterations += 1
-        evaluations += 1
         if evaluate(inst, k):
-            return report(SAT, witness=k, evidence="row-hit")
+            return report(SAT, iterations, witness=k, evidence="row-hit")
         if table.insert_pair(k):
             pair_insertions += 1
         if table.is_full:
-            return report(UNSAT, evidence="blocked-board")
+            return report(UNSAT, iterations, evidence="blocked-board")
 
     gap = table.find_gap()
-    evaluations += 1
     if gap is None or not evaluate(inst, gap):
         raise WitnessVerificationError(
             "table gap is not a satisfying assignment; table state is inconsistent"
         )
-    return report(SAT, witness=gap, evidence="table-gap")
+    return report(SAT, iterations + 1, witness=gap, evidence="table-gap")
 
 
 def random_permutation(mi: int, seed=None) -> list[int]:

@@ -103,7 +103,9 @@ def outer_random_reference(inst: SsatInstance, seed=None) -> SolverReport:
 
 
 def parse_rows_strict_reference(data: bytes) -> tuple[int, np.ndarray] | None:
-    """formats._parse_rows_strict one digit column at a time."""
+    """formats._parse_rows_stream on a whole file's bytes, one digit
+    column at a time: (n, codes) for a strictly laid-out file, None for
+    any other."""
     end = data.find(b"\n")
     if end < 0 or not data[:end].isascii():
         return None

@@ -9,7 +9,8 @@ import pytest
 import ssat
 import ssat.bench
 import ssat.cli
-from ssat import build_with_solutions, run_bench, summarize
+import ssat.solvers
+from ssat import SolverReport, build_with_solutions, run_bench, summarize
 from ssat.bench import SOLVERS, UNDETERMINED, write_csv
 from test_golden import RUNS
 
@@ -24,7 +25,7 @@ PERFBENCH_NAMES = ("ExtremeSpec", "PairTable", "build_with_solutions", "compleme
 
 def index_built(inst) -> bool:
     # the lazily built membership index lives in the instance's __dict__
-    return "_member_present" in vars(inst) or "_member_sorted" in vars(inst)
+    return "_index" in vars(inst)
 
 
 class TestRunBench:
@@ -47,6 +48,16 @@ class TestRunBench:
         assert all(r.verdict == "SAT_EXISTS" and r.iterations == 0 for r in unique)
         none = run_bench(6, 2, "none", ["quick"], seed_base=1)
         assert all(r.verdict == UNDETERMINED for r in none)
+
+    def test_quick_undetermined_record(self):
+        # m >= 2^n: the table's one UNDETERMINED report, both counters 0
+        (rec,) = run_bench(5, 1, "none", ["quick"], seed_base=3)
+        assert (rec.verdict, rec.iterations, rec.evaluations) == (UNDETERMINED, 0, 0)
+        inst = build_with_solutions(5, ())
+        report = SOLVERS["quick"].run(inst, None, None)
+        assert report == SolverReport(algorithm="quick", verdict=UNDETERMINED,
+                                      iterations=0, evaluations=0)
+        assert ssat.bench.UNDETERMINED is ssat.solvers.UNDETERMINED
 
     def test_duplicates_enter_m(self):
         records = run_bench(5, 2, "unique", ["inner-witness"], duplicates=100,
@@ -180,3 +191,9 @@ class TestWriteCsv:
         assert int(reader[0]["n"]) == 5
         assert len(comments) == 2
         assert comments[1].startswith("# outer-random,")
+
+    def test_header_bytes(self, tmp_path):
+        path = tmp_path / "bench.csv"
+        write_csv(path, run_bench(4, 1, "unique", ["quick"], seed_base=0))
+        header = path.read_bytes().split(b"\n", 1)[0]
+        assert header == b"algorithm,n,m,r,seed,verdict,iterations,evaluations,wall_ns\r"

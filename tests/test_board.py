@@ -128,6 +128,23 @@ class TestInsertPair:
             assert t.ct == 1 << n
             assert t.is_full
 
+    def test_mixed_with_insert_counts_only_new_cells(self):
+        t = PairTable(2)
+        t.insert(complement(0, 2))
+        assert t.insert_pair(0) is True
+        assert (t.ct, int(t.cells.sum())) == (2, 2)
+        t.insert_pair(1)
+        assert (t.ct, int(t.cells.sum())) == (4, 4)
+        assert t.is_full and t.find_gap() is None
+        rng = random.Random(4)
+        for n in (1, 2, 3, 5):
+            t = PairTable(n)
+            while not t.is_full:
+                k = rng.randrange(1 << n)
+                (t.insert if rng.random() < 0.5 else t.insert_pair)(k)
+                assert t.ct == int(t.cells.sum())
+            assert t.cells.all() and t.find_gap() is None
+
     def test_ct_moves_in_steps_of_two(self):
         rng = random.Random(9)
         t = PairTable(4)

@@ -65,10 +65,13 @@ class TestSolve:
         assert report["iterations"] == 0
 
     def test_quick_undetermined(self, blocked_file, capsys):
+        # the CLI prints the solver table's report as it prints any other
         code = main(["solve", "--input", blocked_file, "--algorithm", "quick"])
-        report = last_json(capsys)
+        out, err = capsys.readouterr()
         assert code == 1
-        assert report["verdict"] == "UNDETERMINED"
+        assert out == json.dumps({"algorithm": "quick", "verdict": "UNDETERMINED",
+                                  "iterations": 0, "evaluations": 0}) + "\n"
+        assert "cannot decide m >= 2^n" in err
 
     def test_quick_with_witness_flag_escalates(self, blocked_file, capsys):
         code = main(["solve", "--input", blocked_file, "--algorithm", "quick",
@@ -274,6 +277,17 @@ class TestProbCommand:
         rows = list(csv.DictReader(out.read_text().splitlines()))
         assert len(rows) == 8  # f in 0..7 valid for n=4
         assert "skipped 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["inner", "outer"])
+    def test_past_the_float_range(self, tmp_path, capsys, mode):
+        out = tmp_path / "p.csv"
+        code = main(["prob", "--n", "600", "--mode", mode, "--f-max", "2",
+                     "--out", str(out)])
+        assert code == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [(r["f"], r["probability"]) for r in rows] == [
+            ("0", "0.0"), ("1", "0.0"), ("2", "0.0")]
+        assert capsys.readouterr().err == ""
 
     def test_poly_table(self, tmp_path):
         out = tmp_path / "p.csv"

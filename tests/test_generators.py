@@ -201,6 +201,14 @@ class TestProbabilities:
             for f in range(1 << (n - 1)):
                 assert prob_ss_inner(n, f) >= prob_ss_outer(n, 2 * f)
 
+    def test_past_the_float_range(self):
+        # (2^n)^2 is beyond any float at n = 600; the exact quotient is
+        # below the smallest one
+        assert prob_ss_inner(600, 2) == 0.0
+        assert prob_ss_outer(600, 2) == 0.0
+        assert prob_ss_inner(2000, 0) == 0.0
+        assert prob_ss_inner(511, 0) == 2.0 ** -1022
+
     def test_poly_values(self):
         in_c, s_c = prob_poly_subset(10, 1)
         assert math.isclose(in_c, 10 / 1024, rel_tol=1e-12)
