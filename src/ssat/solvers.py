@@ -6,7 +6,8 @@ Two families:
   candidate k is parked in a pair table together with complement(k), so
   one failure retires two assignments at once; a full table proves
   unsatisfiability, and a leftover gap after the rows run out names a
-  satisfying assignment directly.
+  satisfying assignment directly. The witness search tests its rows in
+  chunks, one batch each, and parks a chunk's misses in one table fill.
 
 * outer: candidates come from a seeded random permutation of the lower
   half [0, 2^{n-1} - 1] of the assignment space; each step tests the
@@ -24,9 +25,12 @@ with evaluate before the report is emitted, UNSAT reports name the
 exhaustion argument that proves them. Counters are honest tallies, never
 estimates: iterations counts main-loop passes (for the binary search,
 row-vs-index comparisons) and evaluations counts evaluate calls. The
-outer walk tests a batch at once; its evaluations are the calls the
-sequential walk makes up to its first hit, and the re-check of its
-witness is not counted.
+outer walk and the inner witness search test a batch at once; their
+evaluations are the calls the one-at-a-time loop makes up to its first
+hit, and the re-check of a batch-found witness is not counted.
+
+The inner solvers build a 2^n-cell table, so they need n <= MAX_TABLE_WIDTH
+and raise PreconditionError past it before allocating anything.
 """
 
 from __future__ import annotations
@@ -40,7 +44,14 @@ import numpy as np
 
 from .board import PairTable
 from .errors import PreconditionError, WitnessVerificationError
-from .model import BLOCK_ROWS, SsatInstance, complement, evaluate, evaluate_many
+from .model import (
+    BLOCK_ROWS,
+    MAX_TABLE_WIDTH,
+    SsatInstance,
+    complement,
+    evaluate,
+    evaluate_many,
+)
 
 SAT = "SAT"
 SAT_EXISTS = "SAT_EXISTS"
@@ -102,6 +113,17 @@ def counted_existence(n: int, m: int, k1: int, k2: int) -> SolverReport | None:
     return None
 
 
+def _pair_table(inst: SsatInstance, algorithm: str) -> PairTable:
+    """An empty table for inst, or PreconditionError past the width cap,
+    before anything is allocated."""
+    if inst.n > MAX_TABLE_WIDTH:
+        raise PreconditionError(
+            f"{algorithm} needs a 2^n-cell pair table, so n <= MAX_TABLE_WIDTH = "
+            f"{MAX_TABLE_WIDTH}, got n = {inst.n}; outer-random and quick still apply"
+        )
+    return PairTable(inst.n)
+
+
 def inner_board_solve(
     inst: SsatInstance, dump_board: str | os.PathLike | None = None,
 ) -> SolverReport:
@@ -112,9 +134,9 @@ def inner_board_solve(
     The rows go through the table in numpy blocks (PairTable.fill);
     iterations counts the rows consumed, up to and including the one that
     fills the table. Never evaluates the instance; reports SAT_EXISTS
-    without a witness.
+    without a witness. Needs n <= MAX_TABLE_WIDTH.
     """
-    table = PairTable(inst.n)
+    table = _pair_table(inst, "inner-board")
     iterations = table.fill(inst.rows)
     if table.is_full:
         verdict, evidence = UNSAT, "blocked-board"
@@ -138,14 +160,24 @@ def inner_witness_solve(
     both hopeless and are parked as a pair, retiring two candidates per
     failure. A full table is a proof of UNSAT. If the rows run out first,
     any empty cell's code is unblocked, and that gap is verified and
-    returned as the witness.
+    returned as the witness. Needs n <= MAX_TABLE_WIDTH.
 
-    Each row tried is one evaluate call, so evaluations is iterations,
-    plus one when the gap is checked.
+    The rows go in chunks of 64, 128, ... up to BLOCK_ROWS. A chunk is
+    tested with one evaluate_many call; the misses before its first hit go
+    through PairTable.fill as the codes k, complement(k), k', ... Pairs
+    only ever occupy both cells or neither, so the code that fills the
+    table is a complement, and the rows consumed are half the codes fill
+    takes. The counters are those of the one-row-at-a-time loop:
+    iterations counts the rows tried up to the hit or the row that fills
+    the table, evaluations is iterations (one evaluate call per row) plus
+    one when the gap is checked, and pair_insertions is the pairs parked.
+    A row hit is checked once more with evaluate before it is reported;
+    that check is not counted.
     """
-    table = PairTable(inst.n)
+    table = _pair_table(inst, "inner-witness")
+    mask = (1 << inst.n) - 1
+    rows = inst.rows
     iterations = 0
-    pair_insertions = 0
 
     def report(verdict, evaluations, witness=None, evidence=None):
         if dump_board is not None:
@@ -153,17 +185,29 @@ def inner_witness_solve(
         return SolverReport(
             algorithm="inner-witness", verdict=verdict, iterations=iterations,
             evaluations=evaluations, witness=witness, evidence=evidence,
-            pair_insertions=pair_insertions,
+            pair_insertions=table.ct // 2,
         )
 
-    for k in inst.rows.tolist():
-        iterations += 1
-        if evaluate(inst, k):
-            return report(SAT, iterations, witness=k, evidence="row-hit")
-        if table.insert_pair(k):
-            pair_insertions += 1
+    sizes = _chunk_sizes()
+    while iterations < rows.size:
+        chunk = rows[iterations:iterations + next(sizes)]
+        hits = np.flatnonzero(evaluate_many(inst, chunk))
+        misses = chunk[:hits[0]] if hits.size else chunk
+        pairs = np.empty(2 * misses.size, dtype=np.int64)
+        pairs[0::2] = misses
+        pairs[1::2] = mask ^ misses
+        used = table.fill(pairs)
         if table.is_full:
+            iterations += used // 2
             return report(UNSAT, iterations, evidence="blocked-board")
+        if hits.size:
+            iterations += int(hits[0]) + 1
+            witness = int(chunk[hits[0]])
+            if not evaluate(inst, witness):
+                raise WitnessVerificationError(
+                    f"batch test passed row {witness}, which evaluate rejects")
+            return report(SAT, iterations, witness=witness, evidence="row-hit")
+        iterations += chunk.size
 
     gap = table.find_gap()
     if gap is None or not evaluate(inst, gap):

@@ -1,10 +1,11 @@
 """Scalar reference versions of the vectorized solver paths.
 
-These are the loops `inner_board_solve`, `PairTable.dump` and
-`outer_random_solve` used before they moved to numpy blocks. They go one
-code, cell or step at a time, so the differential tests can hold the
-kernels to them. The rows codec keeps the one digit column at a time
-decoder and encoder that the word-at-a-time codec replaced.
+These are the loops `inner_board_solve`, `inner_witness_solve`,
+`PairTable.dump` and `outer_random_solve` used before they moved to numpy
+blocks. They go one code, row, cell or step at a time, so the
+differential tests can hold the kernels to them. The rows codec keeps the
+one digit column at a time decoder and encoder that the word-at-a-time
+codec replaced.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import random
 import numpy as np
 
 from ssat.board import EMPTY, PairTable, inverse_address
-from ssat.errors import ParseError
+from ssat.errors import ParseError, WitnessVerificationError
 from ssat.formats import _parse_header
 from ssat.model import BLOCK_ROWS, SsatInstance, complement, evaluate
 from ssat.solvers import SAT, SAT_EXISTS, UNSAT, SolverReport
@@ -52,6 +53,41 @@ def inner_board_reference(
         algorithm="inner-board", verdict=verdict, iterations=iterations,
         evaluations=0, evidence=evidence,
     )
+
+
+def inner_witness_reference(
+    inst: SsatInstance, dump_board: str | os.PathLike | None = None,
+) -> SolverReport:
+    """inner_witness_solve one row at a time: evaluate the row, and on a
+    miss park it and its complement with insert_pair."""
+    table = PairTable(inst.n)
+    iterations = 0
+    pair_insertions = 0
+
+    def report(verdict, evaluations, witness=None, evidence=None):
+        if dump_board is not None:
+            dump_reference(table, dump_board)
+        return SolverReport(
+            algorithm="inner-witness", verdict=verdict, iterations=iterations,
+            evaluations=evaluations, witness=witness, evidence=evidence,
+            pair_insertions=pair_insertions,
+        )
+
+    for k in inst.rows.tolist():
+        iterations += 1
+        if evaluate(inst, k):
+            return report(SAT, iterations, witness=k, evidence="row-hit")
+        if table.insert_pair(k):
+            pair_insertions += 1
+        if table.is_full:
+            return report(UNSAT, iterations, evidence="blocked-board")
+
+    gap = table.find_gap()
+    if gap is None or not evaluate(inst, gap):
+        raise WitnessVerificationError(
+            "table gap is not a satisfying assignment; table state is inconsistent"
+        )
+    return report(SAT, iterations + 1, witness=gap, evidence="table-gap")
 
 
 def dump_reference(table: PairTable, path: str | os.PathLike) -> None:

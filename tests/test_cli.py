@@ -3,11 +3,14 @@
 import csv
 import json
 import shutil
+import os
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import ssat
 from ssat import build_with_solutions, parse_rows_file, write_rows_file
 from ssat.bench import SOLVERS
 from ssat.cli import main
@@ -56,6 +59,20 @@ class TestSolve:
         code = main(["solve", "--input", str(path), "--algorithm", "binary-search"])
         assert code == 1
         assert "PreconditionError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("algorithm", ["inner-witness", "inner-board"])
+    def test_inner_past_the_table_cap_exits_one(self, tmp_path, capsys, algorithm):
+        path = tmp_path / "wide.rows"
+        path.write_text("ssat 31 2\n" + "0" * 31 + "\n" + "1" * 31 + "\n")
+        code = main(["solve", "--input", str(path), "--algorithm", algorithm])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: PreconditionError: ")
+        assert "MAX_TABLE_WIDTH = 30, got n = 31" in err
+        assert "outer-random and quick still apply" in err
+        # and they do
+        assert main(["solve", "--input", str(path), "--algorithm", "quick"]) == 10
 
     def test_quick_below_threshold(self, worked_file, capsys):
         code = main(["solve", "--input", worked_file, "--algorithm", "quick"])
@@ -312,3 +329,33 @@ def test_console_script_round_trip(tmp_path):
     )
     assert solve.returncode == 10
     assert json.loads(solve.stdout)["witness_bits"] == "011"
+
+
+def test_python_dash_m_round_trip(tmp_path):
+    # python -m ssat runs the CLI out of process, whether or not the
+    # console script is installed
+    env = dict(os.environ)
+    src = str(Path(ssat.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def ssat_cli(*args):
+        return subprocess.run([sys.executable, "-m", "ssat", *args],
+                              capture_output=True, text=True, env=env)
+
+    sat, blocked = tmp_path / "sat.rows", tmp_path / "blocked.rows"
+    assert ssat_cli("gen", "--n", "3", "--solutions", "3", "--out", str(sat)).returncode == 0
+    assert ssat_cli("gen", "--n", "3", "--solutions", "none", "--duplicates", "4",
+                    "--shuffle-seed", "1", "--out", str(blocked)).returncode == 0
+
+    solve = ssat_cli("solve", "--input", str(sat), "--algorithm", "inner-witness")
+    assert solve.returncode == 10
+    assert json.loads(solve.stdout) == {
+        "algorithm": "inner-witness", "verdict": "SAT", "witness": 3,
+        "witness_bits": "011", "evidence": "row-hit", "iterations": 4,
+        "evaluations": 4, "pair_insertions": 3}
+
+    solve = ssat_cli("solve", "--input", str(blocked), "--algorithm", "inner-witness")
+    assert solve.returncode == 20
+    report = json.loads(solve.stdout)
+    assert (report["verdict"], report["evidence"], report["pair_insertions"]) == (
+        "UNSAT", "blocked-board", 4)
